@@ -55,12 +55,6 @@ func BenchmarkMacroFig12Strict(b *testing.B)      { benchkit.MacroFig12BenchStri
 func BenchmarkMacroFig12Paper(b *testing.B)       { benchkit.MacroFig12PaperBench(false)(b) }
 func BenchmarkMacroFig12PaperStrict(b *testing.B) { benchkit.MacroFig12PaperBench(true)(b) }
 
-// Scaling tier: the same fig12 run at fixed intra-run worker counts
-// (DESIGN.md §9). Results are bit-identical across the curve; only
-// wall-clock may move.
-func BenchmarkScalingFig12Workers2(b *testing.B) { benchkit.MacroFig12BenchWorkers(2)(b) }
-func BenchmarkScalingFig12Workers4(b *testing.B) { benchkit.MacroFig12BenchWorkers(4)(b) }
-
 // Twin tier: one in-envelope analytical estimate on a pre-calibrated model
 // versus the cycle-level run that answers the same question. Their ratio is
 // the artifact's twin_speedup — the factor the interactive tier buys.
@@ -115,10 +109,6 @@ var trajectoryTiers = []struct {
 	{"runmode/fig12_strict", benchkit.MacroFig12BenchStrict, false},
 	{"runmode/fig12_paper_skipping", benchkit.MacroFig12PaperBench(false), false},
 	{"runmode/fig12_paper_strict", benchkit.MacroFig12PaperBench(true), false},
-	{"scaling/fig12_workers1", benchkit.MacroFig12BenchWorkers(1), false},
-	{"scaling/fig12_workers2", benchkit.MacroFig12BenchWorkers(2), false},
-	{"scaling/fig12_workers4", benchkit.MacroFig12BenchWorkers(4), false},
-	{"scaling/fig12_workers8", benchkit.MacroFig12BenchWorkers(8), false},
 	{"twin/estimate_query", benchkit.TwinQuery, false},
 	{"twin/point_sim", benchkit.TwinPointSim, false},
 }

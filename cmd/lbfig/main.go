@@ -41,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		outDir  = fs.String("out", "artifacts", "directory for -svg output")
 		windows = fs.Int("windows", 16, "run length in monitoring windows")
 		timeout = fs.Duration("timeout", 0, "wall-clock limit per simulation (0 = none)")
-		workers = fs.Int("workers", 1, "SM-stepping threads per simulation (0 = GOMAXPROCS); results are identical at any count")
 		strict  = fs.Bool("strict", false, "tick every cycle instead of event-driven cycle skipping; results are identical in both modes")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -59,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *paper {
 		cfg = harness.PaperConfig()
 	}
-	cfg.GPU.Workers = *workers
 	cfg.Strict = *strict
 	r := harness.NewRunner(cfg, *windows)
 	r.Timeout = *timeout

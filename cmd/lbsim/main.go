@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		checkFlag  = fs.Bool("check", false, "sweep runtime conservation invariants every cycle; abort on violation")
 		timeout    = fs.Duration("timeout", 0, "wall-clock limit for the run (0 = none)")
 		chaosSpec  = fs.String("chaos", "", "fault-injection spec, e.g. panic:sm:5000 or stall-dram:2000 (see internal/chaos)")
-		workers    = fs.Int("workers", 1, "SM-stepping threads (0 = GOMAXPROCS); results are identical at any count")
 		strict     = fs.Bool("strict", false, "tick every cycle instead of event-driven cycle skipping; results are identical in both modes")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -131,9 +130,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if cfg.Chaos, err = chaos.ParseSpec(*chaosSpec); err != nil {
 		return cliutil.Usagef("%v", err)
 	}
-	cfg.GPU.Workers = *workers
 	cfg.Strict = *strict
-	res, err := runKernel(cfg, kernel, pol, *windows, *timeout, *timeline, *recordFile, stdout, stderr)
+	res, err := runKernel(cfg, kernel, pol, *windows, *timeout, *timeline, *recordFile, stdout)
 	if err != nil {
 		return err
 	}
@@ -173,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // trace recording. The run executes under a recovery barrier: a panic
 // (chaos-injected or an engine bug) comes back as a *harness.RunError with
 // the machine-state snapshot, and the process exits 1 instead of crashing.
-func runKernel(cfg linebacker.Config, k *linebacker.Kernel, pol linebacker.Policy, windows int, timeout time.Duration, timeline bool, recordFile string, stdout, stderr io.Writer) (res *linebacker.Result, err error) {
+func runKernel(cfg linebacker.Config, k *linebacker.Kernel, pol linebacker.Policy, windows int, timeout time.Duration, timeline bool, recordFile string, stdout io.Writer) (res *linebacker.Result, err error) {
 	g, gerr := linebacker.New(cfg, k, pol)
 	if gerr != nil {
 		return nil, fmt.Errorf("%w: %w", harness.ErrBadConfig, gerr)
@@ -194,17 +192,22 @@ func runKernel(cfg linebacker.Config, k *linebacker.Kernel, pol linebacker.Polic
 		defer cancel()
 	}
 	if recordFile != "" {
-		f, err := os.Create(recordFile)
-		if err != nil {
-			return nil, err
+		f, ferr := os.Create(recordFile)
+		if ferr != nil {
+			return nil, ferr
 		}
 		rec := linebacker.NewTraceRecorder(f)
 		linebacker.RecordTrace(g, rec)
+		// A trace that could not be written fails the run: a truncated
+		// trace must not pass for a complete one.
 		defer func() {
-			if err := rec.Flush(); err != nil {
-				fmt.Fprintln(stderr, "lbsim: flushing trace:", err)
+			werr := rec.Flush()
+			if cerr := f.Close(); werr == nil {
+				werr = cerr
 			}
-			f.Close()
+			if werr != nil && err == nil {
+				res, err = nil, fmt.Errorf("writing trace %s: %w", recordFile, werr)
+			}
 		}()
 	}
 	if !timeline {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -70,6 +71,21 @@ func TestTimeoutExitsOne(t *testing.T) {
 	}
 	if code := cliutil.Exit(&stderr, "lbsim", err); code != 1 {
 		t.Fatalf("timeout exit %d, want 1", code)
+	}
+}
+
+// TestRecordWriteFailureExitsOne proves a trace that cannot be written
+// fails the run instead of leaving a truncated file behind a zero exit.
+func TestRecordWriteFailureExitsOne(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	code, msg := exitCode(t, "-bench", "S2", "-scheme", "baseline", "-windows", "1", "-record", "/dev/full")
+	if code != 1 {
+		t.Fatalf("-record /dev/full exit %d, want 1; stderr:\n%s", code, msg)
+	}
+	if !strings.Contains(msg, "writing trace") {
+		t.Errorf("stderr does not name the trace write failure:\n%s", msg)
 	}
 }
 

@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		journal    = fs.String("journal", "", "JSONL checkpoint file; an existing one resumes the sweep")
 		chaosSpec  = fs.String("chaos", "", "fault-injection spec, e.g. panic:sm:5000 (see internal/chaos)")
 		twinMode   = fs.Bool("twin", false, "answer the cache sweep from a calibrated analytical twin where in-envelope (simulates only the calibration anchors and any out-of-envelope point)")
-		workers    = fs.Int("workers", 1, "SM-stepping threads per simulation (0 = GOMAXPROCS); results are identical at any count")
 		strict     = fs.Bool("strict", false, "tick every cycle instead of event-driven cycle skipping; results are identical in both modes")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -86,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if cfg.Chaos, err = chaos.ParseSpec(*chaosSpec); err != nil {
 		return cliutil.Usagef("%v", err)
 	}
-	cfg.GPU.Workers = *workers
 	cfg.Strict = *strict
 
 	r := harness.NewRunner(cfg, *windows)

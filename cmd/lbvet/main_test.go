@@ -16,7 +16,7 @@ func TestListAnalyzers(t *testing.T) {
 	if err := run([]string{"-list"}, &out, &errb); err != nil {
 		t.Fatalf("run -list: %v", err)
 	}
-	for _, name := range []string{"maprange", "nondeterm", "fingerprint", "statsflow", "floatsum", "skipclosure", "workershare", "errflow"} {
+	for _, name := range []string{"maprange", "nondeterm", "fingerprint", "statsflow", "floatsum", "skipclosure", "errflow"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
 		}

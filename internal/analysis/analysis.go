@@ -53,18 +53,6 @@ const OrderedDirective = "//lbvet:ordered"
 //	//lbvet:panic unreachable by construction: only the four Kinds exist
 const PanicDirective = "//lbvet:panic"
 
-// ExecutorDirective is the escape-hatch comment that sanctions a goroutine
-// spawn inside a simulation-state package (see the nondeterm analyzer). It
-// asserts the goroutine is part of a deterministic cycle-barrier executor:
-// it works on a disjoint, statically assigned state partition and every
-// cross-partition effect is buffered and merged in a fixed order at a
-// barrier, so results are bit-identical at any worker count (DESIGN.md §9).
-// Any other goroutine in those packages stays banned. Always give the
-// reason after the directive, e.g.
-//
-//	//lbvet:executor cycle-barrier SM worker: disjoint chunk, ordered merge
-const ExecutorDirective = "//lbvet:executor"
-
 // EventBoundDirective is the escape hatch of the skipclosure analyzer
 // (DESIGN.md §11). On a struct field it asserts the field only changes at
 // cycles the type's NextEvent advertises, so a skipped span can never
@@ -76,15 +64,6 @@ const ExecutorDirective = "//lbvet:executor"
 //
 //	//lbvet:eventbound runs only at the window boundary NextEvent advertises
 const EventBoundDirective = "//lbvet:eventbound"
-
-// SMSharedDirective is the escape hatch of the workershare analyzer: it
-// sanctions one write to shared engine state from code reachable during the
-// parallel SM phase, asserting the access is part of the cycle-barrier
-// executor's buffered-and-merged protocol (DESIGN.md §9). Always give the
-// reason after the directive, e.g.
-//
-//	//lbvet:smshared per-worker slot, merged in SM-index order at the barrier
-const SMSharedDirective = "//lbvet:smshared"
 
 // ErrOKDirective is the escape hatch of the errflow analyzer: it justifies
 // one deliberately discarded error value in the harness/cliutil packages —
@@ -111,17 +90,13 @@ type Package struct {
 	ordered map[string]map[int]bool
 	// panicOK maps file name -> set of lines carrying PanicDirective.
 	panicOK map[string]map[int]bool
-	// executorOK maps file name -> set of lines carrying ExecutorDirective.
-	executorOK map[string]map[int]bool
 	// eventBound maps file name -> set of lines carrying EventBoundDirective.
 	eventBound map[string]map[int]bool
-	// smShared maps file name -> set of lines carrying SMSharedDirective.
-	smShared map[string]map[int]bool
 	// errOK maps file name -> set of lines carrying ErrOKDirective.
 	errOK map[string]map[int]bool
 
 	// summaryOnce guards the lazily built write-summary substrate shared by
-	// the dataflow analyzers (skipclosure, workershare); analyzers may run
+	// the dataflow analyzer (skipclosure); analyzers may run
 	// concurrently over the same package.
 	summaryOnce sync.Once
 	summaries   map[*types.Func]*funcSummary
@@ -193,27 +168,11 @@ func (p *Pass) PanicAllowed(pkg *Package, n ast.Node) bool {
 	return lines[pos.Line] || lines[pos.Line-1]
 }
 
-// ExecutorSanctioned reports whether the node carries an ExecutorDirective
-// comment on its own line or the line immediately above.
-func (p *Pass) ExecutorSanctioned(pkg *Package, n ast.Node) bool {
-	pos := p.Fset.Position(n.Pos())
-	lines := pkg.executorOK[pos.Filename]
-	return lines[pos.Line] || lines[pos.Line-1]
-}
-
 // eventBoundAt reports whether the node carries an EventBoundDirective
 // comment on its own line or the line immediately above.
 func (pkg *Package) eventBoundAt(fset *token.FileSet, n ast.Node) bool {
 	pos := fset.Position(n.Pos())
 	lines := pkg.eventBound[pos.Filename]
-	return lines[pos.Line] || lines[pos.Line-1]
-}
-
-// smSharedAt reports whether the node carries an SMSharedDirective comment
-// on its own line or the line immediately above.
-func (pkg *Package) smSharedAt(fset *token.FileSet, n ast.Node) bool {
-	pos := fset.Position(n.Pos())
-	lines := pkg.smShared[pos.Filename]
 	return lines[pos.Line] || lines[pos.Line-1]
 }
 
@@ -236,7 +195,6 @@ func Analyzers() []*Analyzer {
 		NoPanic,
 		NextEvent,
 		SkipClosure,
-		WorkerShare,
 		ErrFlow,
 	}
 }

@@ -127,8 +127,6 @@ func TestNextEventFixture(t *testing.T) { runFixture(t, "nextevent", NextEvent) 
 
 func TestSkipClosureFixture(t *testing.T) { runFixture(t, "skipclosure", SkipClosure) }
 
-func TestWorkerShareFixture(t *testing.T) { runFixture(t, "workershare", WorkerShare) }
-
 func TestErrFlowFixture(t *testing.T) { runFixture(t, "errflow", ErrFlow) }
 
 // TestByName covers the analyzer-subset resolver.

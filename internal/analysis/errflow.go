@@ -300,3 +300,25 @@ func callLabel(call *ast.CallExpr) string {
 	}
 	return "call"
 }
+
+// shortExpr renders an lvalue for a diagnostic without a FileSet (positions
+// carry the location; this is just the label).
+func shortExpr(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return shortExpr(x.X) + "." + x.Sel.Name
+	case *ast.StarExpr:
+		return "*" + shortExpr(x.X)
+	case *ast.ParenExpr:
+		return "(" + shortExpr(x.X) + ")"
+	case *ast.IndexExpr:
+		return shortExpr(x.X) + "[...]"
+	case *ast.SliceExpr:
+		return shortExpr(x.X) + "[...]"
+	case *ast.UnaryExpr:
+		return x.Op.String() + shortExpr(x.X)
+	}
+	return "<expr>"
+}

@@ -266,9 +266,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	pkg := &Package{Path: path, Dir: dir,
 		ordered:    map[string]map[int]bool{},
 		panicOK:    map[string]map[int]bool{},
-		executorOK: map[string]map[int]bool{},
 		eventBound: map[string]map[int]bool{},
-		smShared:   map[string]map[int]bool{},
 		errOK:      map[string]map[int]bool{},
 	}
 	for _, src := range srcs {
@@ -279,9 +277,7 @@ func (l *Loader) load(path string) (*Package, error) {
 		pkg.Files = append(pkg.Files, f)
 		pkg.ordered[src] = directiveLines(l.Fset, f, OrderedDirective)
 		pkg.panicOK[src] = directiveLines(l.Fset, f, PanicDirective)
-		pkg.executorOK[src] = directiveLines(l.Fset, f, ExecutorDirective)
 		pkg.eventBound[src] = directiveLines(l.Fset, f, EventBoundDirective)
-		pkg.smShared[src] = directiveLines(l.Fset, f, SMSharedDirective)
 		pkg.errOK[src] = directiveLines(l.Fset, f, ErrOKDirective)
 	}
 

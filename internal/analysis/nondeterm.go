@@ -16,11 +16,7 @@ import (
 //     (rand.New / the workload PRNG);
 //   - goroutine spawning: concurrency inside a cycle makes event order
 //     scheduler-dependent. Parallelism belongs in the harness, across
-//     runs — with one sanctioned exception: a cycle-barrier executor
-//     goroutine marked with an ExecutorDirective comment, which asserts
-//     disjoint state partitions and a fixed-order merge at the barrier
-//     (the internal/sim worker pool, DESIGN.md §9). Every other goroutine
-//     stays banned.
+//     runs (DESIGN.md §9).
 var NonDeterm = &Analyzer{
 	Name: "nondeterm",
 	Doc:  "wall-clock, global math/rand and goroutines in sim hot paths",
@@ -51,12 +47,9 @@ func runNonDeterm(pass *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if pass.ExecutorSanctioned(pass.Pkg, n) {
-					return true
-				}
 				pass.Reportf(n.Pos(),
-					"goroutine spawned in simulation package %s: cycle-level event order must not depend on the scheduler; parallelise in the harness, or mark a cycle-barrier executor worker with %s <reason>",
-					pass.Pkg.Types.Name(), ExecutorDirective)
+					"goroutine spawned in simulation package %s: cycle-level event order must not depend on the scheduler; parallelise in the harness, across runs",
+					pass.Pkg.Types.Name())
 			case *ast.SelectorExpr:
 				pkgPath, name, ok := qualifiedRef(pass, n)
 				if !ok {

@@ -6,12 +6,11 @@ import (
 	"go/types"
 )
 
-// This file is the write-summary substrate shared by the dataflow analyzers
-// (skipclosure, workershare). For every function declared in a package it
-// computes which memory roots the function writes — receiver fields, the
-// whole receiver, parameters, package-level variables, and chains passing
-// through shared engine types — and closes the summaries transitively
-// through same-package calls with a fixpoint over the package call graph.
+// This file is the write-summary substrate of the skipclosure dataflow
+// analyzer. For every function declared in a package it computes which
+// memory roots the function writes — receiver fields, the whole receiver
+// and parameters — and closes the summaries transitively through
+// same-package calls with a fixpoint over the package call graph.
 //
 // Precision model (DESIGN.md §11):
 //
@@ -31,9 +30,8 @@ import (
 //     `d.inflight.popRoot()` writes "inflight".
 //   - Calls that cannot be resolved to a same-package declaration
 //     (interface methods, cross-package calls, function values) contribute
-//     nothing. The analyzers built on top bound that blindness: skipclosure
-//     compares two closures over the SAME package, and workershare states
-//     the limitation in its doc.
+//     nothing. skipclosure bounds that blindness by comparing two closures
+//     over the SAME package.
 //
 // Each summary carries two closures: the full one (everything the function
 // writes, used for the SkipCycles side) and the bounded one, which refuses
@@ -43,11 +41,10 @@ import (
 type rootKind uint8
 
 const (
-	rootNone   rootKind = iota // untracked local, call result, ...
-	rootRecv                   // the method receiver itself
-	rootField                  // a first-hop field of the receiver
-	rootParam                  // a (pointer) parameter
-	rootGlobal                 // a package-level variable
+	rootNone  rootKind = iota // untracked local, call result, ...
+	rootRecv                  // the method receiver itself
+	rootField                 // a first-hop field of the receiver
+	rootParam                 // a (pointer) parameter
 )
 
 type root struct {
@@ -62,14 +59,6 @@ type root struct {
 type fieldOrigin struct {
 	pos token.Pos
 	via string
-}
-
-// sharedWrite is one write whose lvalue chain passes through a shared
-// engine type or a package-level variable (workershare's raw material).
-type sharedWrite struct {
-	pos    token.Pos
-	what   string // rendered lvalue
-	shared string // shared type name, or "" for a package-level variable
 }
 
 // callEdge is one syntactic call site with the caller-side roots of its
@@ -93,8 +82,6 @@ type funcSummary struct {
 	paramW  map[int]token.Pos
 	recvW   bool // writes through the whole receiver (`*s = ...`)
 	recvPos token.Pos
-	globalW []sharedWrite
-	sharedW []sharedWrite
 	calls   []callEdge
 
 	// Fixpoint results. closed* includes every same-package callee;
@@ -412,16 +399,10 @@ func argRoots(call *ast.CallExpr, ctx *fnCtx) []root {
 	return out
 }
 
-// recordWrite attributes one lvalue write to its root and scans the lvalue
-// chain for shared engine types.
+// recordWrite attributes one lvalue write to its root.
 func recordWrite(fset *token.FileSet, pkg *Package, fs *funcSummary, ctx *fnCtx, lhs ast.Expr) {
 	if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
 		return
-	}
-	if shared, ok := sharedOnChain(lhs, ctx.info); ok {
-		fs.sharedW = append(fs.sharedW, sharedWrite{
-			pos: lhs.Pos(), what: shortExpr(lhs), shared: shared,
-		})
 	}
 	r := exprRoot(lhs, ctx)
 	switch r.kind {
@@ -438,8 +419,6 @@ func recordWrite(fset *token.FileSet, pkg *Package, fs *funcSummary, ctx *fnCtx,
 		if _, ok := fs.paramW[r.param]; !ok {
 			fs.paramW[r.param] = lhs.Pos()
 		}
-	case rootGlobal:
-		fs.globalW = append(fs.globalW, sharedWrite{pos: lhs.Pos(), what: shortExpr(lhs)})
 	}
 }
 
@@ -464,22 +443,11 @@ func exprRoot(e ast.Expr, ctx *fnCtx) root {
 		if r, ok := ctx.env[obj]; ok {
 			return r
 		}
-		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return root{kind: rootGlobal, obj: obj}
-		}
 		return root{kind: rootNone}
 	case *ast.SelectorExpr:
 		r := exprRoot(x.X, ctx)
 		if r.kind == rootRecv {
 			return root{kind: rootField, field: firstHopField(x, ctx.info)}
-		}
-		// Package-qualified globals: pkgname.Var.
-		if r.kind == rootNone {
-			if obj := ctx.info.Uses[x.Sel]; obj != nil {
-				if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-					return root{kind: rootGlobal, obj: obj}
-				}
-			}
 		}
 		return r
 	case *ast.StarExpr:
@@ -517,92 +485,4 @@ func firstHopField(sel *ast.SelectorExpr, info *types.Info) string {
 		}
 	}
 	return sel.Sel.Name
-}
-
-// sharedEngineTypes are the types workershare treats as cross-SM shared
-// state: a write whose lvalue chain passes through any of them during the
-// parallel SM phase breaks the disjoint-partition argument of DESIGN.md §9.
-// Matched by (package name, type name), so fixture modules participate.
-var sharedEngineTypes = map[[2]string]bool{
-	{"sim", "GPU"}:         true,
-	{"config", "Config"}:   true,
-	{"workload", "Kernel"}: true,
-}
-
-// sharedOnChain reports whether any subexpression of the lvalue chain has a
-// shared engine type (unwrapping pointers).
-func sharedOnChain(e ast.Expr, info *types.Info) (string, bool) {
-	for {
-		if name, ok := sharedType(info.TypeOf(e)); ok {
-			return name, true
-		}
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return "", false
-			}
-			e = x.X
-		default:
-			return "", false
-		}
-	}
-}
-
-func sharedType(t types.Type) (string, bool) {
-	if t == nil {
-		return "", false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		if p, ok2 := t.(*types.Pointer); ok2 {
-			n, ok = p.Elem().(*types.Named)
-		}
-		if !ok {
-			return "", false
-		}
-	}
-	obj := n.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return "", false
-	}
-	key := [2]string{obj.Pkg().Name(), obj.Name()}
-	if sharedEngineTypes[key] {
-		return obj.Pkg().Name() + "." + obj.Name(), true
-	}
-	return "", false
-}
-
-// shortExpr renders an lvalue for a diagnostic without a FileSet (positions
-// carry the location; this is just the label).
-func shortExpr(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return shortExpr(x.X) + "." + x.Sel.Name
-	case *ast.StarExpr:
-		return "*" + shortExpr(x.X)
-	case *ast.ParenExpr:
-		return "(" + shortExpr(x.X) + ")"
-	case *ast.IndexExpr:
-		return shortExpr(x.X) + "[...]"
-	case *ast.SliceExpr:
-		return shortExpr(x.X) + "[...]"
-	case *ast.UnaryExpr:
-		return x.Op.String() + shortExpr(x.X)
-	}
-	return "<expr>"
 }

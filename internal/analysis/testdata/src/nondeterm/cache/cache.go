@@ -20,21 +20,6 @@ func (x *c) bad(done chan struct{}) {
 	go func() { done <- struct{}{} }() // want `goroutine spawned`
 }
 
-// sanctioned is the one legal goroutine shape: a cycle-barrier executor
-// worker carrying an //lbvet:executor justification. No diagnostic.
-func (x *c) sanctioned(cycles chan int64) {
-	//lbvet:executor fixture: cycle-barrier worker over a disjoint chunk, merged in fixed order
-	go func() { <-cycles }()
-}
-
-// unsanctioned shows the directive only attaches to its own or the next
-// line — a goroutine further down stays banned.
-func (x *c) unsanctioned(done chan struct{}) {
-	//lbvet:executor stale justification, separated by another statement
-	_ = cap(done)
-	go func() { done <- struct{}{} }() // want `goroutine spawned`
-}
-
 func (x *c) good(seed int64) int {
 	// Explicitly seeded generators are the sanctioned randomness source.
 	x.rng = rand.New(rand.NewSource(seed))

@@ -155,19 +155,6 @@ func MacroFig12Bench(b *testing.B) {
 	macroFig12(b, harness.BenchConfig())
 }
 
-// MacroFig12BenchWorkers returns the fig12 macro body pinned to an intra-run
-// worker count (DESIGN.md §9) — the scaling-curve tier of the trajectory
-// artifact. The fast config has 4 SMs, so counts above 4 clamp; the curve is
-// flat by construction on a single-core host (GOMAXPROCS caps real
-// concurrency), which the artifact records alongside the numbers.
-func MacroFig12BenchWorkers(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		cfg := harness.BenchConfig()
-		cfg.GPU.Workers = workers
-		macroFig12(b, cfg)
-	}
-}
-
 // MacroFig12BenchStrict is the fig12 macro with cycle skipping disabled:
 // the strict per-cycle engine on the 4-SM fast config. Paired with
 // MacroFig12Bench (which runs the default skipping mode) it is the

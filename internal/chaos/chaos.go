@@ -3,10 +3,7 @@
 // entirely by config.Chaos, can
 //
 //   - force a panic the first time a named Step stage executes at or after
-//     a given cycle (exercises the harness's per-run panic isolation) — the
-//     "sm-worker" pseudo-stage fires inside one SM's tick instead, on a
-//     worker goroutine when GPU.Workers > 1 (exercises the parallel
-//     executor's panic propagation across the cycle barrier),
+//     a given cycle (exercises the harness's per-run panic isolation),
 //   - stall the DRAM model so dependent warps livelock (exercises the
 //     harness watchdog), and
 //   - corrupt a load-outcome counter on one SM (trips the internal/check
@@ -82,11 +79,6 @@ func (in *Injector) Stage(g *sim.GPU, stage string, cycle int64) {
 		// load-accounting rule's two independent tallies now disagree.
 		victim.Stats.LoadReqs[sim.OutHit] += 1 + int64(in.rng.IntN(7))
 	}
-	// The stage comparison must come before the panicked read: with an
-	// "sm-worker" fault armed, panicked is written inside an SM tick —
-	// possibly on a worker goroutine — and "sm-worker" never matches a
-	// Stage name, so the short-circuit keeps this coordinator-side hook
-	// from racing that write.
 	if c.PanicCycle > 0 && stage == c.PanicStage && !in.panicked && cycle >= c.PanicCycle {
 		in.panicked = true
 		panic(fmt.Sprintf("chaos: injected panic in stage %s at cycle %d (seed %d)", stage, cycle, c.Seed))
@@ -100,11 +92,6 @@ func (in *Injector) Stage(g *sim.GPU, stage string, cycle int64) {
 // Once every fault has fired the injector is quiescent. Without this method
 // the engine would have to (and, for third-party injectors, does) fall back
 // to strict ticking.
-//
-// Reading the fired flags here is race-free even for the "sm-worker" fault,
-// whose flag is written on a worker goroutine: the engine calls NextEvent
-// between Steps, after the cycle barrier has ordered all worker writes
-// before coordinator reads.
 func (in *Injector) NextEvent(now int64) (int64, bool) {
 	c := &in.c
 	best, any := int64(0), false
@@ -128,32 +115,10 @@ func (in *Injector) NextEvent(now int64) (int64, bool) {
 	return best, any
 }
 
-// SMTick implements sim.SMTickFaultInjector: the "sm-worker" panic stage
-// fires inside the victim SM's tick, which runs on a worker goroutine when
-// GPU.Workers > 1 — proving a worker panic crosses the cycle barrier and
-// reaches the harness as a structured error. The victim is a pure function
-// of the chaos seed, and only the victim SM's goroutine ever evaluates (or
-// writes) the panicked flag, so the hook is race-free under the parallel
-// executor.
-func (in *Injector) SMTick(g *sim.GPU, smID int, cycle int64) {
-	c := &in.c
-	if c.PanicStage != "sm-worker" || c.PanicCycle == 0 {
-		return
-	}
-	if victim := int(c.Seed % uint64(len(g.SMs()))); smID != victim {
-		return
-	}
-	if !in.panicked && cycle >= c.PanicCycle {
-		in.panicked = true
-		panic(fmt.Sprintf("chaos: injected panic in SM %d tick at cycle %d (seed %d)", smID, cycle, c.Seed))
-	}
-}
-
 // ParseSpec parses the CLI chaos syntax into a config.Chaos. The spec is a
 // comma-separated list of directives:
 //
 //	panic:<stage>:<cycle>     force a panic in the named Step stage
-//	                          (stage "sm-worker" panics inside an SM tick)
 //	stall-dram:<cycle>        freeze the DRAM model from that cycle on
 //	corrupt-stats:<cycle>     corrupt an SM load counter at that cycle
 //	bench:<name>              scope every fault to runs of this benchmark

@@ -14,14 +14,13 @@ import (
 // TestGoldenMetricsSkipMatrix is the bit-identity acceptance matrix of the
 // event-driven cycle-skipping engine (DESIGN.md §10): the full golden
 // capture — every Table 2 benchmark under {baseline, lb} — must equal the
-// committed snapshot in both run modes at both worker counts. The snapshot
-// was recorded by a strict serial engine, so any event advertised too late
-// (a skipped cycle that would have changed state) or any closed-form
-// accrual that drifts from per-cycle ticking shows up as an exact-integer
-// diff against it.
+// committed snapshot in both run modes. The snapshot was recorded by a
+// strict engine, so any event advertised too late (a skipped cycle that
+// would have changed state) or any closed-form accrual that drifts from
+// per-cycle ticking shows up as an exact-integer diff against it.
 func TestGoldenMetricsSkipMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skip matrix runs all 20 benchmarks per mode/worker leg; skipped in -short")
+		t.Skip("skip matrix runs all 20 benchmarks per run mode; skipped in -short")
 	}
 	want, err := check.LoadSnapshot(goldenPath)
 	if err != nil {
@@ -29,20 +28,17 @@ func TestGoldenMetricsSkipMatrix(t *testing.T) {
 	}
 
 	for _, strict := range []bool{true, false} {
-		for _, workers := range []int{1, 4} {
-			cfg := harness.BenchConfig()
-			cfg.Strict = strict
-			cfg.GPU.Workers = workers
-			got, err := check.Capture(cfg,
-				"skip-matrix capture",
-				goldenWindows, workload.Names(), check.GoldenSchemes())
-			if err != nil {
-				t.Fatalf("Strict=%v Workers=%d: %v", strict, workers, err)
-			}
-			if diffs := want.Compare(got); len(diffs) != 0 {
-				t.Errorf("Strict=%v Workers=%d diverged from the golden snapshot:\n%s",
-					strict, workers, strings.Join(diffs, "\n"))
-			}
+		cfg := harness.BenchConfig()
+		cfg.Strict = strict
+		got, err := check.Capture(cfg,
+			"skip-matrix capture",
+			goldenWindows, workload.Names(), check.GoldenSchemes())
+		if err != nil {
+			t.Fatalf("Strict=%v: %v", strict, err)
+		}
+		if diffs := want.Compare(got); len(diffs) != 0 {
+			t.Errorf("Strict=%v diverged from the golden snapshot:\n%s",
+				strict, strings.Join(diffs, "\n"))
 		}
 	}
 }

@@ -44,7 +44,6 @@ func TestSkipFuzzStrictEquivalence(t *testing.T) {
 			cfg.GPU.DRAM.RP = float64(6 + rng.IntN(13))
 			cfg.GPU.DRAM.CL = float64(6 + rng.IntN(13))
 			cfg.GPU.MaxWarpMLP = 1 + rng.IntN(6)
-			cfg.GPU.Workers = 1 + rng.IntN(4)
 
 			var mk func() sim.Policy
 			switch rng.IntN(3) {

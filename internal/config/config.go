@@ -63,31 +63,6 @@ type GPU struct {
 	// outstanding line requests a warp may have before it stalls. Real SMs
 	// keep many loads in flight per warp (score-boarded registers).
 	MaxWarpMLP int
-
-	// Workers is the intra-run parallelism: how many OS threads step
-	// disjoint chunks of SMs concurrently within each cycle (DESIGN.md §9).
-	// 1 (the default) is the serial engine; 0 means one worker per
-	// GOMAXPROCS; values above NumSMs are clamped. Results are bit-identical
-	// for every worker count — the field is deliberately excluded from the
-	// harness memo fingerprint, and a test proves both properties.
-	Workers int
-}
-
-// EffectiveWorkers resolves the Workers request against the machine and the
-// SM count: 0 expands to maxProcs (pass runtime.GOMAXPROCS(0)), and the
-// result is clamped to [1, NumSMs] — more workers than SMs would only idle.
-func (g *GPU) EffectiveWorkers(maxProcs int) int {
-	w := g.Workers
-	if w == 0 {
-		w = maxProcs
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > g.NumSMs {
-		w = g.NumSMs
-	}
-	return w
 }
 
 // DRAMTiming holds the Table 1 DRAM timing parameters in DRAM-clock cycles.
@@ -154,11 +129,8 @@ type Energy struct {
 }
 
 // ChaosStages lists the GPU.Step phases a chaos panic can target, in
-// pipeline order (see sim.FaultInjector). "sm-worker" is the parallel
-// variant of "sm": the panic fires inside one SM's tick — on a worker
-// goroutine when GPU.Workers > 1 — exercising the executor's panic
-// propagation across the cycle barrier (sim.SMTickFaultInjector).
-var ChaosStages = []string{"dispatch", "sm", "sm-worker", "l2", "dram", "response"}
+// pipeline order (see sim.FaultInjector).
+var ChaosStages = []string{"dispatch", "sm", "l2", "dram", "response"}
 
 // Chaos configures the deterministic fault injector (internal/chaos). All
 // faults are driven by (Seed, cycle, stage) so a chaos run is exactly as
@@ -217,9 +189,9 @@ type Config struct {
 	// Strict disables event-driven cycle skipping: the engine ticks every
 	// cycle, exactly as the pre-skip engine did. The default (false) lets
 	// RunCtx fast-forward over provably idle spans. Results are
-	// bit-identical in both modes — like GPU.Workers, the field is
-	// deliberately excluded from the harness memo fingerprint, and a test
-	// matrix proves both properties (DESIGN.md §10).
+	// bit-identical in both modes — the field is deliberately excluded
+	// from the harness memo fingerprint, and a test matrix proves both
+	// properties (DESIGN.md §10).
 	Strict bool
 	// Chaos configures deterministic fault injection (internal/chaos).
 	Chaos Chaos
@@ -254,7 +226,6 @@ func Default() Config {
 			},
 			IssueWidth: 1,
 			MaxWarpMLP: 4,
-			Workers:    1,
 		},
 		LB: Linebacker{
 			WindowCycles:      50000,
@@ -353,8 +324,6 @@ func (c *Config) Validate() error {
 		return errors.New("config: IssueWidth must be positive")
 	case g.MaxWarpMLP <= 0:
 		return errors.New("config: MaxWarpMLP must be positive")
-	case g.Workers < 0:
-		return errors.New("config: Workers must be non-negative (0 = GOMAXPROCS, 1 = serial)")
 	}
 	if err := g.DRAM.validate(); err != nil {
 		return err

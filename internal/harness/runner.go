@@ -51,10 +51,9 @@ type Runner struct {
 	WatchdogTick time.Duration
 	// SweepWorkers bounds the sweep-level fan-out: ForEachBench and the
 	// Best-SWL sweep run at most this many points concurrently, instead of
-	// one goroutine per point. NewRunner divides the machine between the
-	// two parallelism levels — SweepWorkers × cfg.GPU.EffectiveWorkers ≈
-	// GOMAXPROCS — so intra-run workers (DESIGN.md §9) and sweep workers
-	// never oversubscribe cores. 0 falls back to serial sweeps.
+	// one goroutine per point. It is the simulator's only parallelism —
+	// each run steps its SMs serially (DESIGN.md §9) — and NewRunner sets it
+	// to GOMAXPROCS. 0 falls back to serial sweeps.
 	SweepWorkers int
 
 	mu         sync.Mutex
@@ -89,21 +88,9 @@ type flight struct {
 
 // NewRunner builds a runner over the given configuration. windows sets the
 // run length (8 windows ≈ monitoring + several throttle adjustments).
-//
-// The core budget is split between the two parallelism levels: each run
-// uses cfg.GPU.EffectiveWorkers intra-run SM workers, so the sweep level
-// gets GOMAXPROCS / that many concurrent simulations (at least one). With
-// the default Workers=1 this reduces to the classic one-run-per-core
-// sweep.
+// Sweeps run one simulation per core.
 func NewRunner(cfg config.Config, windows int) *Runner {
-	maxProcs := runtime.GOMAXPROCS(0)
-	if maxProcs < 1 {
-		maxProcs = 1
-	}
-	sweep := maxProcs / cfg.GPU.EffectiveWorkers(maxProcs)
-	if sweep < 1 {
-		sweep = 1
-	}
+	sweep := runtime.GOMAXPROCS(0)
 	return &Runner{
 		Cfg:          cfg,
 		Windows:      windows,
@@ -218,15 +205,13 @@ func (r *Runner) cycles(cfg *config.Config) int64 {
 // are part of the fingerprint by construction: a faulted run can never
 // alias a clean cache or journal entry.
 //
-// GPU.Workers and Strict are the two deliberate exclusions: Workers only
-// chooses how many threads step the SMs, and Strict only chooses whether
-// the run loop ticks every cycle or fast-forwards over provably idle spans
-// — results are bit-identical at every worker count and in both run modes
-// (test-enforced, DESIGN.md §9 and §10) — so such runs share memo and
-// journal entries instead of re-simulating.
+// Strict is the one deliberate exclusion: it only chooses whether the run
+// loop ticks every cycle or fast-forwards over provably idle spans —
+// results are bit-identical in both run modes (test-enforced, DESIGN.md
+// §10) — so such runs share memo and journal entries instead of
+// re-simulating.
 func cfgFingerprint(cfg *config.Config) string {
 	canon := *cfg
-	canon.GPU.Workers = 0
 	canon.Strict = false
 	return fmt.Sprintf("%v", canon)
 }

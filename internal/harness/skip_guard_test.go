@@ -45,7 +45,7 @@ func TestWatchdogFiresUnderSkipping(t *testing.T) {
 // TestMemoStrictAliasing proves the memo deliberately aliases the two run
 // modes: results are bit-identical strict vs skipping (test-enforced), so
 // a skipping run may satisfy a strict request from cache and vice versa —
-// cfgFingerprint canonicalises Strict away exactly like GPU.Workers.
+// cfgFingerprint canonicalises Strict away.
 func TestMemoStrictAliasing(t *testing.T) {
 	skip := BenchConfig()
 	skip.Strict = false

@@ -29,32 +29,3 @@ func TestStepAllocCeiling(t *testing.T) {
 		t.Errorf("GPU.Step allocates %.2f objects/step steady-state, ceiling %v", perStep, ceiling)
 	}
 }
-
-// TestStepAllocCeilingParallel holds the parallel engine to the same
-// steady-state budget: per-SM request pools must keep their free lists
-// balanced even though stores die at L2/DRAM, away from the issuing SM (the
-// serial phases return them to the issuer's pool), and the executor's
-// kick/barrier channels must not allocate per cycle. The ceiling gets one
-// extra object over the serial budget for scheduler bookkeeping.
-func TestStepAllocCeilingParallel(t *testing.T) {
-	cfg := testConfig()
-	cfg.GPU.Workers = 2
-	g, err := New(cfg, tinyKernel(400, 48), Baseline{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	for i := 0; i < 2000; i++ {
-		g.Step()
-	}
-	const steps = 2000
-	perStep := testing.AllocsPerRun(1, func() {
-		for i := 0; i < steps; i++ {
-			g.Step()
-		}
-	}) / steps
-	const ceiling = 6.0
-	if perStep > ceiling {
-		t.Errorf("parallel GPU.Step allocates %.2f objects/step steady-state, ceiling %v", perStep, ceiling)
-	}
-}

@@ -48,8 +48,8 @@ func mergeEvent(best int64, any bool, c int64, ok bool, now int64) (int64, bool)
 // NextEvent implements the component protocol for one SM: the earliest
 // cycle at which the SM front-end, LSU or its policy can change state.
 //
-//   - A non-empty outbox pins the event to now: it is drained at every
-//     cycle barrier. A non-empty LSU queue pins the event to now UNLESS its
+//   - A non-empty outbox pins the event to now: it is drained in every
+//     Step. A non-empty LSU queue pins the event to now UNLESS its
 //     head-of-line request is structurally stalled on a full MSHR: a
 //     stalled head blocks the whole queue, and each retried cycle mutates
 //     exactly one counter (l1.Stats.MSHRStalls — the structural check in
@@ -113,8 +113,7 @@ const neverWake = int64(1)<<62 - 1
 // "busy" verdict just means the SM ticks again next cycle, which is always
 // safe. Correctness rests solely on NextEvent's contract, and on the wake
 // cache being reset at the SM's two external input points (handleResponse,
-// launchCTA). Both run on the coordinating goroutine between cycle
-// barriers, so workers never observe a torn nextWake.
+// launchCTA).
 func (g *GPU) stepSM(sm *SM, cyc int64) {
 	if !g.smSleep {
 		sm.tick(cyc)
@@ -276,10 +275,7 @@ func (g *GPU) nextEventCycle(now int64) (int64, bool) {
 	best, any = mergeEvent(best, any, c, ok, now)
 	if g.faults != nil {
 		// RunCtx guarantees the assertion: skipping is disabled for
-		// injectors that do not implement NextEventer. Reading the
-		// injector's fault flags here is race-free — workers are parked at
-		// the cycle barrier between Steps, which orders their writes before
-		// this coordinator read.
+		// injectors that do not implement NextEventer.
 		ne := g.faults.(NextEventer)
 		c, ok = ne.NextEvent(now)
 		best, any = mergeEvent(best, any, c, ok, now)

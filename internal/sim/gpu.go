@@ -52,21 +52,14 @@ type GPU struct {
 	// ticking (event.go). Diagnostic only: never part of Result/StateDump.
 	skipped int64
 
-	// workers is the resolved intra-run parallelism (config.GPU.Workers
-	// against this machine); exec is the persistent SM worker pool, built
-	// lazily on the first Step when workers > 1 and torn down by Close.
-	// With workers == 1 the engine is exactly the serial machine.
-	workers int
-	exec    *smExecutor
-
-	checker  CycleChecker
-	faults   FaultInjector
-	smFaults SMTickFaultInjector
+	checker CycleChecker
+	faults  FaultInjector
 
 	// smSleep enables per-SM sleeping inside ticked cycles (see stepSM in
 	// event.go). RunCtx turns it on for event-driven runs with no fault
-	// injector: SMTick faults must observe a real tick on every cycle, so
-	// any injector forces full per-SM ticking even when global skipping
+	// injector: an injector may mutate machine state (SM counters, the
+	// DRAM's stall flag) behind the SM and DRAM wake caches, so any
+	// injector forces full per-cycle ticking even when global skipping
 	// stays legal.
 	smSleep bool
 
@@ -104,13 +97,7 @@ type FaultInjector interface {
 }
 
 // SetFaultInjector installs (or, with nil, removes) the fault injector.
-// An injector that additionally implements SMTickFaultInjector is also
-// consulted inside each SM's tick — on a worker goroutine when the run is
-// parallel (see exec.go for the contract that keeps that race-free).
-func (g *GPU) SetFaultInjector(f FaultInjector) {
-	g.faults = f
-	g.smFaults, _ = f.(SMTickFaultInjector)
-}
+func (g *GPU) SetFaultInjector(f FaultInjector) { g.faults = f }
 
 // stage notifies the fault injector that the named Step phase is starting.
 func (g *GPU) stage(name string, cyc int64) {
@@ -142,7 +129,6 @@ func New(cfg config.Config, k *workload.Kernel, pol Policy) (*GPU, error) {
 		l2Ports:   l2PortsFor(cfg.GPU.NumSMs),
 		l2Waiters: make(map[memtypes.LineAddr][]*memtypes.Request),
 		dram:      dram.New(&cfg.GPU),
-		workers:   resolveWorkers(cfg.GPU.Workers, cfg.GPU.NumSMs),
 	}
 	// Split the minimum L2 round trip across request path, service, and
 	// response path.
@@ -216,11 +202,6 @@ const checkpointCycles = 8192
 // forces strict ticking: the engine cannot know which cycles it must not
 // jump over.
 func (g *GPU) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
-	// A parallel run's worker pool lives exactly as long as the run loop:
-	// Step builds it lazily, and no goroutine survives past this return
-	// (Close is idempotent, so callers that Step by hand and Close
-	// themselves compose with RunCtx).
-	defer g.Close()
 	if maxCycles == 0 {
 		maxCycles = g.cfg.MaxCycles
 	}
@@ -283,21 +264,6 @@ func (g *GPU) committed() int64 {
 	return n
 }
 
-// Close tears down the parallel stepping workers, if any are running.
-// Idempotent and cheap when the run is serial. Callers that drive Step
-// directly with Workers > 1 (benchmarks, tools) should Close when done;
-// RunCtx does it automatically.
-func (g *GPU) Close() {
-	if g.exec != nil {
-		g.exec.stop()
-		g.exec = nil
-	}
-}
-
-// Workers returns the resolved intra-run worker count (>= 1) this machine
-// will use for the SM phase.
-func (g *GPU) Workers() int { return g.workers }
-
 // Progress returns the committed-instruction count published at the last
 // RunCtx checkpoint. Safe to call from other goroutines while the
 // simulation runs; a watchdog that sees the same value across a wall-clock
@@ -319,13 +285,9 @@ func (g *GPU) done() bool {
 		g.l2Queue.Len() == 0 && g.dram.QueueLen() == 0 && g.dram.Inflight() == 0
 }
 
-// Step advances the whole GPU by one cycle: a serial dispatch, the SM
-// phase (parallel across disjoint SM chunks when Workers > 1, plain loop
-// otherwise), an ordered merge of the per-SM outboxes into the
-// interconnect, and the serial memory phases. The SM phase only ever
-// touches per-SM state, and the merge happens in fixed SM-index order, so
-// the machine's trajectory is bit-identical for every worker count
-// (DESIGN.md §9).
+// Step advances the whole GPU by one cycle: dispatch, the SM phase, a merge
+// of the per-SM outboxes into the interconnect, and the memory phases. SMs
+// step serially, in index order (DESIGN.md §9).
 func (g *GPU) Step() {
 	cyc := g.cycle
 
@@ -333,23 +295,14 @@ func (g *GPU) Step() {
 	g.dispatch(cyc)
 
 	g.stage("sm", cyc)
-	if g.workers > 1 && g.exec == nil {
-		g.exec = newSMExecutor(g, g.workers)
+	for _, sm := range g.sms {
+		g.stepSM(sm, cyc)
 	}
-	if g.exec != nil {
-		g.exec.cycle(cyc)
-	} else {
-		for id, sm := range g.sms {
-			if g.smFaults != nil {
-				g.smFaults.SMTick(g, id, cyc)
-			}
-			g.stepSM(sm, cyc)
-		}
-	}
-	// Barrier merge: drain the per-SM outboxes into the interconnect in
-	// SM-index order. The serial engine produced exactly this injection
-	// order (ticks never observe the interconnect), so icnt sequence
-	// numbers — and every tie-break derived from them — are preserved.
+	// Drain the per-SM outboxes into the interconnect in SM-index order.
+	// An outbox also holds requests issued outside the SM phase (register
+	// traffic sent from OnRegResponse during response delivery) until this
+	// merge, so it fixes their injection cycle and icnt sequence numbers —
+	// and every tie-break derived from them.
 	for _, sm := range g.sms {
 		for sm.outbox.Len() > 0 {
 			g.toL2.Send(sm.outbox.Pop(), cyc)

@@ -88,12 +88,11 @@ type SM struct {
 	waiters  map[memtypes.LineAddr][]*Warp
 	outbox   ring.Buffer[*memtypes.Request]
 
-	// pool recycles this SM's Request objects. Per-SM ownership is what
-	// keeps the free list race-free under parallel stepping: during the SM
-	// phase only this SM's goroutine touches it, and the serial memory
-	// phases return every dying request to the pool of the SM that issued
-	// it (req.SM). Get still returns a zeroed object, so pool order stays
-	// invisible to simulated state (DESIGN.md §8, §9).
+	// pool recycles this SM's Request objects. The memory phases return
+	// every dying request to the pool of the SM that issued it (req.SM), so
+	// each free list stays balanced and warm for its own issuer. Get still
+	// returns a zeroed object, so pool order stays invisible to simulated
+	// state (DESIGN.md §8, §9).
 	pool memtypes.RequestPool
 
 	pol SMPolicy

@@ -86,7 +86,7 @@ func dedupeSorted(xs []int) []int {
 // requests, processes and replicas — pay each anchor at most once.
 //
 // The returned model is a pure function of the anchor results, which are
-// themselves bit-identical at any worker count and in both run modes, so
+// themselves bit-identical in both run modes, so
 // calibration is deterministic by construction (test-enforced).
 func Calibrate(ctx context.Context, r *harness.Runner, bench string, opt Options) (*Model, error) {
 	opt = opt.withDefaults()

@@ -66,27 +66,27 @@ func TestDifferentialGoldenGrid(t *testing.T) {
 	}
 }
 
-// TestCalibrationDeterministicAcrossWorkers enforces the "deterministic by
-// construction" claim: calibrating on runners with different intra-run
-// worker counts — which the simulator excludes from its identity, and the
-// engine keeps bit-identical — must produce byte-for-byte equal models.
-func TestCalibrationDeterministicAcrossWorkers(t *testing.T) {
+// TestCalibrationDeterministicAcrossSweepWorkers enforces the "deterministic
+// by construction" claim: calibrating on runners with different sweep-pool
+// widths must produce byte-for-byte equal models — nothing in a model may
+// depend on how many simulations the runner lets run at once.
+func TestCalibrationDeterministicAcrossSweepWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibrates two runners; skipped in -short")
 	}
 	axes := Axes{L1KB: []int{32, 64}, SWLLimits: []int{1, 2}, VTTParts: []int{1, 8}}
 	models := make([]*Model, 2)
 	for i, workers := range []int{1, 3} {
-		cfg := harness.BenchConfig()
-		cfg.GPU.Workers = workers
-		m, err := Calibrate(context.Background(), harness.NewRunner(cfg, 2), "S2", Options{Axes: axes})
+		r := harness.NewRunner(harness.BenchConfig(), 2)
+		r.SweepWorkers = workers
+		m, err := Calibrate(context.Background(), r, "S2", Options{Axes: axes})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("SweepWorkers=%d: %v", workers, err)
 		}
 		models[i] = m
 	}
 	if !reflect.DeepEqual(models[0], models[1]) {
-		t.Errorf("models diverge across worker counts:\n w=1: %+v\n w=3: %+v", models[0], models[1])
+		t.Errorf("models diverge across sweep pool widths:\n w=1: %+v\n w=3: %+v", models[0], models[1])
 	}
 }
 

@@ -22,8 +22,8 @@
 // Calibration rides the fault-tolerant, memoised harness.Runner, so
 // anchor runs are simulated once per store and reused across calibrations,
 // restarts and replicas. Everything in a Model is a pure function of the
-// simulator's deterministic results: calibrating twice — at any worker
-// count, on any machine sharing the store — yields bit-identical models
+// simulator's deterministic results: calibrating twice — at any sweep-pool
+// width, on any machine sharing the store — yields bit-identical models
 // (test-enforced).
 package twin
 
