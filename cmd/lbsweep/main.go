@@ -3,18 +3,21 @@
 //
 // Sweeps execute on the fault-tolerant harness runner: every point runs
 // under panic isolation with an optional wall-clock timeout, and with
-// -journal the completed points checkpoint to a JSONL file — re-running
-// the same command after an interruption re-simulates only the missing
-// points.
+// -store the completed points commit to a persistent result store
+// (internal/store) — re-running the same command after an interruption
+// re-simulates only the missing points. After a kill -9, the points that
+// were in flight wait up to the store's lease TTL (1 minute) for their
+// dead holder's leases to expire before they re-simulate.
 //
 // Usage:
 //
 //	lbsweep -mode swl -bench S2
 //	lbsweep -mode cache -bench BI -scheme linebacker
 //	lbsweep -mode vtt -bench BC
-//	lbsweep -mode swl -bench KM -journal sweep.jsonl   # resumable
+//	lbsweep -mode swl -bench KM -store sweep.d   # resumable
 //
-// Exit status: 0 ok, 1 run failure, 2 usage error.
+// Exit status: 0 ok, 1 run failure or failed checkpoint write, 2 usage
+// error.
 package main
 
 import (
@@ -32,6 +35,7 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/harness"
 	"github.com/linebacker-sim/linebacker/internal/schemes"
 	"github.com/linebacker-sim/linebacker/internal/sim"
+	"github.com/linebacker-sim/linebacker/internal/store"
 	"github.com/linebacker-sim/linebacker/internal/twin"
 )
 
@@ -41,7 +45,7 @@ func main() {
 
 // run is the testable entry point: flag parsing and output against
 // injectable streams, errors returned instead of os.Exit.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("lbsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -51,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		windows    = fs.Int("windows", 16, "run length in monitoring windows")
 		paper      = fs.Bool("paper", false, "full Table 1 scale")
 		timeout    = fs.Duration("timeout", 0, "wall-clock limit per point (0 = none)")
-		journal    = fs.String("journal", "", "JSONL checkpoint file; an existing one resumes the sweep")
+		storeDir   = fs.String("store", "", "result store directory checkpointing completed points; an existing one resumes the sweep")
 		chaosSpec  = fs.String("chaos", "", "fault-injection spec, e.g. panic:sm:5000 (see internal/chaos)")
 		twinMode   = fs.Bool("twin", false, "answer the cache sweep from a calibrated analytical twin where in-envelope (simulates only the calibration anchors and any out-of-envelope point)")
 		strict     = fs.Bool("strict", false, "tick every cycle instead of event-driven cycle skipping; results are identical in both modes")
@@ -81,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *paper {
 		cfg = linebacker.DefaultConfig()
 	}
-	var err error
 	if cfg.Chaos, err = chaos.ParseSpec(*chaosSpec); err != nil {
 		return cliutil.Usagef("%v", err)
 	}
@@ -90,23 +93,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 	r := harness.NewRunner(cfg, *windows)
 	r.Timeout = *timeout
 	r.WatchdogTick = 10 * time.Second
-	if *journal != "" {
-		j, err := harness.OpenJournal(*journal)
-		if err != nil {
-			return err
+	if *storeDir != "" {
+		st, serr := store.Open(*storeDir, store.Options{})
+		if serr != nil {
+			return serr
 		}
+		// A checkpoint that could not be written fails the sweep: the
+		// results printed are correct, but a re-run would not resume.
 		defer func() {
-			if cerr := j.Close(); cerr != nil {
-				fmt.Fprintln(stderr, "lbsweep: journal:", cerr)
+			if cerr := st.Close(); cerr != nil {
+				if err == nil {
+					err = cerr
+				} else {
+					fmt.Fprintln(stderr, "lbsweep:", cerr)
+				}
 			}
 		}()
-		for _, w := range j.Warnings() {
-			fmt.Fprintln(stderr, "lbsweep: journal:", w)
-		}
-		if j.Len() > 0 {
-			fmt.Fprintf(stderr, "lbsweep: journal %s: resuming past %d completed point(s)\n", *journal, j.Len())
-		}
-		r.AttachJournal(j)
+		rep := st.Report()
+		fmt.Fprintf(stderr, "lbsweep: store %s: %d result(s) loaded from %d segment(s), %d corrupt record(s) skipped, %d truncated tail byte(s)\n",
+			*storeDir, rep.Loaded, rep.Segments, rep.Skipped, rep.TruncatedBytes)
+		r.AttachStore(st)
 	}
 
 	ctx := context.Background()
@@ -222,7 +228,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, ways := range []int{1, 2, 4, 8, 16, 32} {
 			pol := core.NewWith(core.Options{Selection: true, Throttling: true, VTTWays: ways})
 			// Distinct cfgKey per point: the VTT policies share a Name, and
-			// the memo/journal key must not alias them.
+			// the memo/store key must not alias them.
 			res, err := runOne(cfg, fmt.Sprintf("vtt=%d", ways), pol)
 			if err != nil {
 				return err

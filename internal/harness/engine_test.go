@@ -11,6 +11,7 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/check"
 	"github.com/linebacker-sim/linebacker/internal/config"
 	"github.com/linebacker-sim/linebacker/internal/sim"
+	"github.com/linebacker-sim/linebacker/internal/store"
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
@@ -171,14 +172,14 @@ func TestAcceptanceCancellationSweep(t *testing.T) {
 	// the run before cancellation is ever consulted.
 	r := NewRunner(BenchConfig(), acceptWindows)
 
-	// Attach a journal so the test can also prove a cancelled run leaves no
+	// Attach a store so the test can also prove a cancelled run leaves no
 	// partial checkpoint behind.
-	j, err := OpenJournal(t.TempDir() + "/sweep.jsonl")
+	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	r.AttachJournal(j)
+	defer st.Close()
+	r.AttachStore(st)
 
 	victimCtx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the victim ever starts
@@ -212,7 +213,7 @@ func TestAcceptanceCancellationSweep(t *testing.T) {
 	assertSweepMatchesGolden(t, s, results, golden, victim)
 
 	// Determinism of recovery: the cancelled point must leave no memo or
-	// journal entry, and a clean re-run must still reproduce the golden
+	// store entry, and a clean re-run must still reproduce the golden
 	// metrics exactly — cancellation can never mask nondeterminism.
 	r.mu.Lock()
 	for key := range r.cache {
@@ -221,10 +222,13 @@ func TestAcceptanceCancellationSweep(t *testing.T) {
 		}
 	}
 	r.mu.Unlock()
-	for key := range j.Entries() {
+	for _, key := range st.Keys() {
 		if strings.Contains(key, "|"+victim+"|") {
-			t.Errorf("cancelled run left journal entry %q", key)
+			t.Errorf("cancelled run left store entry %q", key)
 		}
+	}
+	if err := st.Err(); err != nil {
+		t.Errorf("store write error: %v", err)
 	}
 
 	res, err := r.RunCfg(context.Background(), r.Cfg, "", victim, sim.Baseline{})

@@ -9,8 +9,8 @@
 // identity and a machine-state snapshot; sweeps degrade gracefully by
 // skipping (and reporting) failed points instead of dying. Successful
 // results — and only successful results — are memoised, and optionally
-// journaled to disk so interrupted sweeps resume without re-simulating
-// completed points.
+// committed to a persistent store (internal/store) so interrupted sweeps
+// resume without re-simulating completed points.
 package harness
 
 import (
@@ -29,6 +29,7 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/schemes"
 	"github.com/linebacker-sim/linebacker/internal/sim"
 	"github.com/linebacker-sim/linebacker/internal/stats"
+	"github.com/linebacker-sim/linebacker/internal/store"
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
@@ -61,25 +62,13 @@ type Runner struct {
 	probeCache map[string]*ProbeResult
 	flights    map[string]*flight
 	sem        chan struct{}
-	journal    *Journal
-	store      ResultStore
+	store      *store.Store
 	execs      atomic.Int64
-}
-
-// ResultStore is the persistent memo backend a Runner can attach
-// (internal/store implements it). Get/Put mirror the in-memory cache;
-// DoOnce adds cross-process single-flight — with a store attached, a memo
-// key is simulated at most once across every process sharing the store
-// directory, not just within this Runner.
-type ResultStore interface {
-	Get(key string) (*sim.Result, bool)
-	Put(key string, res *sim.Result) error
-	DoOnce(ctx context.Context, key string, fn func(ctx context.Context) (*sim.Result, error)) (*sim.Result, bool, error)
 }
 
 // flight is one in-progress execution of a memo key. Concurrent same-key
 // callers that arrive while the leader runs wait on done instead of
-// executing (and journaling) the identical simulation a second time.
+// executing (and committing) the identical simulation a second time.
 type flight struct {
 	done chan struct{} // closed by the leader after res/err are set
 	res  *sim.Result
@@ -140,38 +129,21 @@ func (r *Runner) forEachIndex(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// AttachJournal preloads the memo cache from the journal's records and
-// persists every subsequent successful run to it. Keys embed the full
-// config fingerprint, so entries journaled under a different configuration
-// are simply never hit. The returned report says what the preload found —
-// loaded, skipped-as-corrupt and truncated-tail counts — so services can
-// export it and tests can assert on recovery instead of re-parsing
-// warnings.
-func (r *Runner) AttachJournal(j *Journal) JournalReport {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.journal = j
-	for k, res := range j.Entries() {
-		if _, ok := r.cache[k]; !ok {
-			r.cache[k] = res
-		}
-	}
-	return j.Report()
-}
-
 // AttachStore routes every memo miss through the persistent store: the
 // leader of an in-process flight executes under the store's cross-process
 // single-flight (DoOnce), so concurrent clients — and concurrent server
 // replicas — pay one simulation per key, and every success is committed
-// (CRC-framed, fsynced) before the caller sees it.
-func (r *Runner) AttachStore(st ResultStore) {
+// (CRC-framed, fsynced) before the caller sees it. Keys embed the full
+// config fingerprint, so a store written under a different configuration
+// is simply never hit; a re-run sweep re-simulates only its missing points.
+func (r *Runner) AttachStore(st *store.Store) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.store = st
 }
 
 // Executions returns how many simulations actually ran (memo misses) —
-// journal-resume tests use it to prove completed points are not re-run.
+// store-resume tests use it to prove completed points are not re-run.
 func (r *Runner) Executions() int64 { return r.execs.Load() }
 
 // BenchConfig returns a fast experiment configuration: 4 SMs with the
@@ -203,12 +175,12 @@ func (r *Runner) cycles(cfg *config.Config) int64 {
 // key. Config is a tree of value types, so %v is deterministic and two
 // configs collide only when they are semantically identical. Chaos fields
 // are part of the fingerprint by construction: a faulted run can never
-// alias a clean cache or journal entry.
+// alias a clean cache or store entry.
 //
 // Strict is the one deliberate exclusion: it only chooses whether the run
 // loop ticks every cycle or fast-forwards over provably idle spans —
 // results are bit-identical in both run modes (test-enforced, DESIGN.md
-// §10) — so such runs share memo and journal entries instead of
+// §10) — so such runs share memo and store entries instead of
 // re-simulating.
 func cfgFingerprint(cfg *config.Config) string {
 	canon := *cfg
@@ -239,13 +211,13 @@ func (r *Runner) MustRun(bench string, pol sim.Policy) *sim.Result {
 // includes a full fingerprint of cfg, so two different configurations can
 // never alias a cache entry; cfgKey is a human-readable discriminator kept
 // for experiment labelling and stable memo keys across sweeps. Only
-// successful results enter the memo cache and journal — a failed or
+// successful results enter the memo cache and store — a failed or
 // cancelled run leaves no partial entry behind. A non-nil error is always
 // a *RunError.
 //
 // Same-key calls are single-flight: concurrent callers that miss the memo
 // cache while an identical run is executing wait for that run instead of
-// duplicating it, so a key is simulated (and journaled) exactly once no
+// duplicating it, so a key is simulated (and committed) exactly once no
 // matter how many sweep goroutines race to it. Failures are never shared
 // forward: a waiter whose leader failed retries with its own context.
 func (r *Runner) RunCfg(ctx context.Context, cfg config.Config, cfgKey, bench string, pol sim.Policy) (*sim.Result, error) {
@@ -318,15 +290,11 @@ func (r *Runner) RunCfg(ctx context.Context, cfg config.Config, cfgKey, bench st
 		r.cache[key] = res
 	}
 	delete(r.flights, key)
-	j := r.journal
 	r.mu.Unlock()
 	f.res, f.err = res, err
 	close(f.done)
 	if err != nil {
 		return nil, err
-	}
-	if j != nil {
-		j.Record(key, res)
 	}
 	return res, nil
 }

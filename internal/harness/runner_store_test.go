@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -23,9 +21,74 @@ func storeRunner(t *testing.T, dir string) (*Runner, *store.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	r := journalRunner()
+	r := tinyRunner()
+	r.Windows = 2
 	r.AttachStore(st)
 	return r, st
+}
+
+func TestStoreResumeSkipsCompletedPoints(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	r, st := storeRunner(t, dir)
+	a, err := r.Run(ctx, "S2", sim.Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Executions() != 1 || st.Len() != 1 {
+		t.Fatalf("execs=%d store=%d, want 1/1", r.Executions(), st.Len())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh process: new runner, same store directory. The completed
+	// point must come from the store; only the new point simulates.
+	r2, st2 := storeRunner(t, dir)
+	a2, err := r2.Run(ctx, "S2", sim.Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Executions() != 0 {
+		t.Fatalf("stored point re-simulated (%d executions)", r2.Executions())
+	}
+	if a2.Cycles != a.Cycles || a2.Instructions != a.Instructions {
+		t.Fatalf("store replay diverged: %+v vs %+v", a2, a)
+	}
+	if _, err := r2.Run(ctx, "BI", sim.Baseline{}); err != nil {
+		t.Fatal(err)
+	}
+	if r2.Executions() != 1 {
+		t.Fatalf("incomplete point did not simulate (%d executions)", r2.Executions())
+	}
+	if st2.Len() != 2 {
+		t.Fatalf("store has %d entries, want 2", st2.Len())
+	}
+}
+
+func TestStoreDifferentConfigNeverAliases(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	r, st := storeRunner(t, dir)
+	if _, err := r.Run(ctx, "S2", sim.Baseline{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Same store, different configuration: the key fingerprints differ,
+	// so the stale entry must be ignored and the run re-simulated.
+	r2, _ := storeRunner(t, dir)
+	r2.Cfg.GPU.L1Bytes = 96 * 1024
+	if _, err := r2.Run(ctx, "S2", sim.Baseline{}); err != nil {
+		t.Fatal(err)
+	}
+	if r2.Executions() != 1 {
+		t.Fatal("changed config hit a stale store entry")
+	}
 }
 
 func TestStoreBackedMemoPersistsAcrossRunners(t *testing.T) {
@@ -142,57 +205,5 @@ func TestTransientClassification(t *testing.T) {
 	both := &RunError{Err: fmt.Errorf("%w: %w", ErrBadConfig, ErrPanic)}
 	if Transient(both) {
 		t.Error("badconfig+panic classified transient; deterministic failures must never retry")
-	}
-}
-
-func TestJournalReportCounts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	good := `{"v":1,"key":"a|b|c","result":{"Policy":"baseline","Cycles":10,"Instructions":5}}`
-	bad := `{"v":1,"key":`
-	invalid := `{"v":9,"key":"x","result":{}}`
-	partial := `{"v":1,"key":"tail`
-	content := good + "\n" + bad + "\n" + invalid + "\n" + partial // no trailing newline
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	rep := j.Report()
-	if rep.Loaded != 1 || rep.Skipped != 2 || rep.TruncatedBytes != int64(len(partial)) {
-		t.Fatalf("report = %+v, want {Loaded:1 Skipped:2 TruncatedBytes:%d}", rep, len(partial))
-	}
-
-	// AttachJournal surfaces the same report to the caller.
-	r := journalRunner()
-	if got := r.AttachJournal(j); got != rep {
-		t.Fatalf("AttachJournal report %+v != journal report %+v", got, rep)
-	}
-}
-
-func TestJournalRecordIsDurableBeforeReturn(t *testing.T) {
-	// The fsync-on-record rule: once Record returns, the full line must be
-	// on disk — readable by a second process — with no Close in between.
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.Record("k|fp|S2|baseline", &sim.Result{Policy: "baseline", Cycles: 3, Instructions: 9})
-	if err := j.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if rep := j2.Report(); rep.Loaded != 1 || rep.Skipped != 0 || rep.TruncatedBytes != 0 {
-		t.Fatalf("acknowledged record not cleanly on disk: %+v", rep)
 	}
 }

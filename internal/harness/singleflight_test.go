@@ -7,26 +7,27 @@ import (
 	"testing"
 
 	"github.com/linebacker-sim/linebacker/internal/sim"
+	"github.com/linebacker-sim/linebacker/internal/store"
 )
 
 // TestRunCfgSingleFlight is the regression test for the concurrent
 // double-execution bug: N goroutines racing RunCfg on the same memo key all
 // used to pass the cache check before any of them finished, so the identical
-// simulation executed N times (and raced to journal the result). With
+// simulation executed N times (and raced to commit the result). With
 // single-flight memoisation exactly one leader simulates; every racer gets
-// the leader's result, and the journal holds exactly one record.
+// the leader's result, and the store holds exactly one record.
 func TestRunCfgSingleFlight(t *testing.T) {
 	// The race needs real parallelism: under GOMAXPROCS=1 the callers can
 	// serialise by accident and the pre-fix code passes vacuously.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	r := tinyRunner()
-	j, err := OpenJournal(t.TempDir() + "/flight.jsonl")
+	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
-		t.Fatalf("opening journal: %v", err)
+		t.Fatalf("opening store: %v", err)
 	}
-	defer j.Close()
-	r.AttachJournal(j)
+	defer st.Close()
+	r.AttachStore(st)
 
 	const callers = 8
 	results := make([]*sim.Result, callers)
@@ -58,11 +59,11 @@ func TestRunCfgSingleFlight(t *testing.T) {
 	if got := r.Executions(); got != 1 {
 		t.Errorf("Executions() = %d, want 1 (same-key racers must share one run)", got)
 	}
-	if got := j.Len(); got != 1 {
-		t.Errorf("journal Len() = %d, want 1", got)
+	if got := st.Len(); got != 1 {
+		t.Errorf("store Len() = %d, want 1", got)
 	}
-	if err := j.Err(); err != nil {
-		t.Errorf("journal write error: %v", err)
+	if err := st.Err(); err != nil {
+		t.Errorf("store write error: %v", err)
 	}
 
 	// A later same-key call is a plain memo hit: still one execution.

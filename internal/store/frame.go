@@ -1,7 +1,7 @@
 // Package store is a persistent, concurrent-safe, content-addressed result
 // store keyed by the harness memo key (config fingerprint + bench +
-// policy). It generalises the harness memo cache and the JSONL sweep
-// journal into something a long-lived service can trust:
+// policy). It makes the harness memo cache persistent for both resumable
+// sweeps (lbsweep -store) and the long-lived service (lbserve):
 //
 //   - records are CRC-framed in append-only segment files and fsynced on
 //     commit, so an acknowledged result survives a power loss;
@@ -18,7 +18,6 @@ package store
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"os"
 )
 
 // Frame layout: magic(4) | payloadLen uint32 LE (4) | crc32-IEEE(payload)
@@ -119,13 +118,4 @@ func indexMagic(b []byte) int {
 		}
 	}
 	return -1
-}
-
-// SyncCommit flushes f's written data to stable storage. It is the commit
-// point shared by the store's segments and the harness sweep journal: a
-// record is only acknowledged after SyncCommit returns, so a power loss
-// can cost at most the record being written, never one already
-// acknowledged.
-func SyncCommit(f *os.File) error {
-	return f.Sync()
 }

@@ -26,9 +26,8 @@ import (
 // holder died (no renewal for a full TTL) is ever stolen.
 //
 // fn errors are returned to the caller and never cached: the next caller
-// (or process) re-acquires the lease and tries again — exactly the
-// journal's "failures are never shared forward" rule, now across
-// processes.
+// (or process) re-acquires the lease and tries again — the harness
+// Runner's "failures are never shared forward" rule, across processes.
 func (s *Store) DoOnce(ctx context.Context, key string, fn func(ctx context.Context) (*sim.Result, error)) (*sim.Result, bool, error) {
 	if res, ok := s.Get(key); ok {
 		return res, false, nil

@@ -40,9 +40,6 @@ type Options struct {
 	// (default 4 MiB). Rotation bounds the cost of the torn-tail scan on
 	// open and gives compaction removable units.
 	MaxSegmentBytes int64
-	// NoSync skips the fsync-on-commit — only for tests that measure the
-	// framing layer without paying disk-flush latency.
-	NoSync bool
 	// LeaseTTL is how stale a lease file must be before another process
 	// may steal it (default 1 minute). Leaseholders renew at TTL/3, so
 	// only a dead process's lease ever expires.
@@ -320,10 +317,10 @@ func (s *Store) Report() LoadReport {
 	return s.report
 }
 
-// Err returns the first sticky write failure, if any. Like the journal, a
-// failed append degrades durability, not correctness: the in-memory entry
-// stays valid, and lbserve surfaces the error through /healthz instead of
-// failing the simulation that produced the result.
+// Err returns the first sticky write failure, if any. A failed append
+// degrades durability, not correctness: the in-memory entry stays valid,
+// and lbserve surfaces the error through /healthz (lbsweep through its exit
+// status) instead of failing the simulation that produced the result.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -392,10 +389,10 @@ func (s *Store) Put(key string, res *sim.Result) error {
 	if _, err := s.active.Write(frame); err != nil {
 		return s.stickyLocked(fmt.Errorf("store: appending to %s: %w", s.activeName, err))
 	}
-	if !s.opt.NoSync {
-		if err := SyncCommit(s.active); err != nil {
-			return s.stickyLocked(fmt.Errorf("store: fsync %s: %w", s.activeName, err))
-		}
+	// The commit point: a record is acknowledged only after its fsync, so
+	// a power loss can cost at most the record being written.
+	if err := s.active.Sync(); err != nil {
+		return s.stickyLocked(fmt.Errorf("store: fsync %s: %w", s.activeName, err))
 	}
 	s.activeSize += int64(len(frame))
 	s.scanned[s.activeName] = s.activeSize
@@ -477,7 +474,7 @@ func (s *Store) Compact() error {
 			return fmt.Errorf("store: writing compacted segment: %w", err)
 		}
 	}
-	if err := SyncCommit(f); err != nil {
+	if err := f.Sync(); err != nil {
 		f.Close() //lbvet:errok — the fsync error is the one the caller acts on; the temp file is discarded
 		return fmt.Errorf("store: fsync compacted segment: %w", err)
 	}
