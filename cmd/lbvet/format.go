@@ -10,7 +10,7 @@ import (
 
 // writeDiags renders the findings in the selected format. All formats use
 // the module-relative file names the analysis layer produced, so output is
-// stable across machines and cache states.
+// stable across machines and checkout locations.
 func writeDiags(w io.Writer, format string, analyzers []*analysis.Analyzer, diags []analysis.Diagnostic) error {
 	switch format {
 	case "json":

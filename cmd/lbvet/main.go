@@ -11,10 +11,9 @@
 //	lbvet -baseline lbvet-baseline.json ./...
 //	lbvet -list
 //
-// Results are cached under <module>/.lbvet-cache keyed by source content,
-// the module-internal import closure, the toolchain and the analyzer set;
-// a warm run re-analyzes only what changed and its output is byte-identical
-// to a cold run. Disable with -no-cache.
+// Every run loads and type-checks the selected packages from source, runs
+// the analyzers over them one after the other, and prints the findings
+// sorted by position with module-relative file names.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main
@@ -25,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"github.com/linebacker-sim/linebacker/internal/analysis"
 )
@@ -59,8 +57,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		format    = fs.String("format", "text", "output format: text, json or sarif")
 		baseline  = fs.String("baseline", "", "suppress findings recorded in this baseline file")
 		writeBase = fs.String("write-baseline", "", "write current findings to this baseline file and exit clean")
-		cacheDir  = fs.String("cache-dir", "", "cache directory (default: <module root>/.lbvet-cache)")
-		noCache   = fs.Bool("no-cache", false, "disable the incremental cache")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("no packages (try: lbvet ./...)")
 	}
 
-	diags, stats, err := analyze(*dir, patterns, analyzers, *cacheDir, *noCache)
+	diags, npkgs, err := analyze(*dir, patterns, analyzers)
 	if err != nil {
 		return err
 	}
@@ -116,46 +112,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := writeDiags(stdout, *format, analyzers, diags); err != nil {
 		return err
 	}
-	if !*noCache {
-		fmt.Fprintf(stderr, "lbvet: %d/%d package(s) from cache, %d analyzed, %d loaded\n",
-			stats.CachedPackages, stats.Packages, stats.AnalyzedPackages, stats.LoadedPackages)
-	}
 	if len(diags) > 0 {
-		fmt.Fprintf(stderr, "lbvet: %d finding(s) in %d package(s)\n", len(diags), stats.Packages)
+		fmt.Fprintf(stderr, "lbvet: %d finding(s) in %d package(s)\n", len(diags), npkgs)
 		return errFindings
 	}
 	return nil
 }
 
-// analyze runs the suite through the incremental cache, or cold when the
-// cache is disabled. Either way the diagnostics come back module-relative
-// and sorted, so both paths print byte-identical output.
-func analyze(dir string, patterns []string, analyzers []*analysis.Analyzer, cacheDir string, noCache bool) ([]analysis.Diagnostic, analysis.RunStats, error) {
-	if noCache {
-		var stats analysis.RunStats
-		loader, err := analysis.NewLoader(dir)
-		if err != nil {
-			return nil, stats, err
-		}
-		pkgs, err := loader.LoadPatterns(dir, patterns)
-		if err != nil {
-			return nil, stats, err
-		}
-		diags := analysis.Relativize(loader.Root(), analysis.Run(loader.Fset, pkgs, analyzers))
-		stats.Packages = len(pkgs)
-		stats.AnalyzedPackages = len(pkgs)
-		stats.LoadedPackages = len(pkgs)
-		for _, p := range pkgs {
-			stats.PackagePaths = append(stats.PackagePaths, p.Path)
-		}
-		return diags, stats, nil
+// analyze loads the packages the patterns select and runs the suite over
+// them. The diagnostics come back module-relative and sorted, alongside the
+// number of packages analyzed.
+func analyze(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, int, error) {
+	loader, err := analysis.NewLoader(dir)
+	if err != nil {
+		return nil, 0, err
 	}
-	if cacheDir == "" {
-		loader, err := analysis.NewLoader(dir)
-		if err != nil {
-			return nil, analysis.RunStats{}, err
-		}
-		cacheDir = filepath.Join(loader.Root(), ".lbvet-cache")
+	pkgs, err := loader.LoadPatterns(dir, patterns)
+	if err != nil {
+		return nil, 0, err
 	}
-	return analysis.RunIncremental(dir, patterns, analyzers, cacheDir)
+	return analysis.Relativize(loader.Root(), analysis.Run(loader.Fset, pkgs, analyzers)), len(pkgs), nil
 }

@@ -8,17 +8,25 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/linebacker-sim/linebacker/internal/analysis"
 )
 
-// TestListAnalyzers covers -list output.
+// TestListAnalyzers: -list prints exactly the registered suite, one
+// analyzer per line, in registry order.
 func TestListAnalyzers(t *testing.T) {
 	var out, errb bytes.Buffer
 	if err := run([]string{"-list"}, &out, &errb); err != nil {
 		t.Fatalf("run -list: %v", err)
 	}
-	for _, name := range []string{"maprange", "nondeterm", "fingerprint", "statsflow", "floatsum", "skipclosure", "errflow"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %q:\n%s", name, out.String())
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	want := analysis.Analyzers()
+	if len(lines) != len(want) {
+		t.Fatalf("-list printed %d line(s), want %d:\n%s", len(lines), len(want), out.String())
+	}
+	for i, a := range want {
+		if name, _, _ := strings.Cut(lines[i], " "); name != a.Name {
+			t.Errorf("-list line %d names %q, want %q", i+1, name, a.Name)
 		}
 	}
 }
@@ -26,7 +34,7 @@ func TestListAnalyzers(t *testing.T) {
 // TestCleanModule is the happy path: a clean module exits 0 (nil error).
 func TestCleanModule(t *testing.T) {
 	var out, errb bytes.Buffer
-	err := run([]string{"-dir", filepath.Join("testdata", "clean"), "-cache-dir", t.TempDir(), "./..."}, &out, &errb)
+	err := run([]string{"-dir", filepath.Join("testdata", "clean"), "./..."}, &out, &errb)
 	if err != nil {
 		t.Fatalf("clean module: %v\nstderr: %s", err, errb.String())
 	}
@@ -45,7 +53,7 @@ func maprangeFixture() string {
 // and prints the diagnostics to stdout with module-relative paths.
 func TestFindingsExitDistinctly(t *testing.T) {
 	var out, errb bytes.Buffer
-	err := run([]string{"-dir", maprangeFixture(), "-cache-dir", t.TempDir(), "./..."}, &out, &errb)
+	err := run([]string{"-dir", maprangeFixture(), "./..."}, &out, &errb)
 	if !errors.Is(err, errFindings) {
 		t.Fatalf("dirty module: want errFindings, got %v", err)
 	}
@@ -64,7 +72,7 @@ func TestFindingsExitDistinctly(t *testing.T) {
 func TestAnalyzerSubset(t *testing.T) {
 	var out, errb bytes.Buffer
 	// nondeterm has nothing to say about the maprange fixture.
-	if err := run([]string{"-dir", maprangeFixture(), "-cache-dir", t.TempDir(), "-analyzers", "nondeterm", "./..."}, &out, &errb); err != nil {
+	if err := run([]string{"-dir", maprangeFixture(), "-analyzers", "nondeterm", "./..."}, &out, &errb); err != nil {
 		t.Fatalf("subset run: %v", err)
 	}
 }
@@ -73,11 +81,11 @@ func TestAnalyzerSubset(t *testing.T) {
 // ambiguous combination of selecting and skipping the same name.
 func TestSkipFlag(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"-dir", filepath.Join("testdata", "clean"), "-cache-dir", t.TempDir(),
+	if err := run([]string{"-dir", filepath.Join("testdata", "clean"),
 		"-skip", "errflow", "./..."}, &out, &errb); err != nil {
 		t.Fatalf("-skip errflow on a clean module: %v\n%s", err, out.String())
 	}
-	err := run([]string{"-dir", filepath.Join("testdata", "clean"), "-cache-dir", t.TempDir(),
+	err := run([]string{"-dir", filepath.Join("testdata", "clean"),
 		"-analyzers", "maprange", "-skip", "maprange", "./..."}, &out, &errb)
 	if err == nil || errors.Is(err, errFindings) {
 		t.Fatalf("selecting and skipping the same analyzer should be a hard error, got %v", err)
@@ -87,7 +95,7 @@ func TestSkipFlag(t *testing.T) {
 // TestFormatJSON checks the machine-readable output.
 func TestFormatJSON(t *testing.T) {
 	var out, errb bytes.Buffer
-	err := run([]string{"-dir", maprangeFixture(), "-cache-dir", t.TempDir(), "-format", "json", "./..."}, &out, &errb)
+	err := run([]string{"-dir", maprangeFixture(), "-format", "json", "./..."}, &out, &errb)
 	if !errors.Is(err, errFindings) {
 		t.Fatalf("want errFindings, got %v", err)
 	}
@@ -113,7 +121,7 @@ func TestFormatJSON(t *testing.T) {
 // TestFormatSARIF checks the SARIF 2.1.0 envelope.
 func TestFormatSARIF(t *testing.T) {
 	var out, errb bytes.Buffer
-	err := run([]string{"-dir", maprangeFixture(), "-cache-dir", t.TempDir(), "-format", "sarif", "./..."}, &out, &errb)
+	err := run([]string{"-dir", maprangeFixture(), "-format", "sarif", "./..."}, &out, &errb)
 	if !errors.Is(err, errFindings) {
 		t.Fatalf("want errFindings, got %v", err)
 	}
@@ -159,11 +167,10 @@ func TestFormatSARIF(t *testing.T) {
 // TestBaselineRoundTrip: -write-baseline accepts the current findings,
 // -baseline then suppresses exactly them, and a stale entry is reported.
 func TestBaselineRoundTrip(t *testing.T) {
-	cache := t.TempDir()
 	base := filepath.Join(t.TempDir(), "baseline.json")
 
 	var out, errb bytes.Buffer
-	if err := run([]string{"-dir", maprangeFixture(), "-cache-dir", cache, "-write-baseline", base, "./..."}, &out, &errb); err != nil {
+	if err := run([]string{"-dir", maprangeFixture(), "-write-baseline", base, "./..."}, &out, &errb); err != nil {
 		t.Fatalf("-write-baseline: %v", err)
 	}
 	if !strings.Contains(errb.String(), "wrote") {
@@ -172,7 +179,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 
 	out.Reset()
 	errb.Reset()
-	if err := run([]string{"-dir", maprangeFixture(), "-cache-dir", cache, "-baseline", base, "./..."}, &out, &errb); err != nil {
+	if err := run([]string{"-dir", maprangeFixture(), "-baseline", base, "./..."}, &out, &errb); err != nil {
 		t.Fatalf("baselined run should be clean: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(errb.String(), "suppressed by baseline") {
@@ -185,39 +192,12 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 	out.Reset()
 	errb.Reset()
-	err := run([]string{"-dir", maprangeFixture(), "-cache-dir", cache, "-baseline", base, "./..."}, &out, &errb)
+	err := run([]string{"-dir", maprangeFixture(), "-baseline", base, "./..."}, &out, &errb)
 	if !errors.Is(err, errFindings) {
 		t.Fatalf("unsuppressed findings should still fail: %v", err)
 	}
 	if !strings.Contains(errb.String(), "stale baseline") {
 		t.Errorf("no stale-entry note: %s", errb.String())
-	}
-}
-
-// TestWarmCacheByteIdentical: a warm run serves everything from cache and
-// prints byte-identical stdout.
-func TestWarmCacheByteIdentical(t *testing.T) {
-	cache := t.TempDir()
-	var cold, coldErr bytes.Buffer
-	err1 := run([]string{"-dir", maprangeFixture(), "-cache-dir", cache, "./..."}, &cold, &coldErr)
-	var warm, warmErr bytes.Buffer
-	err2 := run([]string{"-dir", maprangeFixture(), "-cache-dir", cache, "./..."}, &warm, &warmErr)
-	if !errors.Is(err1, errFindings) || !errors.Is(err2, errFindings) {
-		t.Fatalf("want errFindings twice, got %v / %v", err1, err2)
-	}
-	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
-		t.Errorf("warm output differs from cold:\ncold:\n%s\nwarm:\n%s", cold.String(), warm.String())
-	}
-	if !strings.Contains(warmErr.String(), "0 loaded") {
-		t.Errorf("warm run loaded packages: %s", warmErr.String())
-	}
-	// -no-cache agrees byte for byte too.
-	var nocache, nocacheErr bytes.Buffer
-	if err := run([]string{"-dir", maprangeFixture(), "-no-cache", "./..."}, &nocache, &nocacheErr); !errors.Is(err, errFindings) {
-		t.Fatalf("-no-cache run: %v", err)
-	}
-	if !bytes.Equal(cold.Bytes(), nocache.Bytes()) {
-		t.Errorf("-no-cache output differs from cached output")
 	}
 }
 

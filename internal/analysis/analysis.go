@@ -5,20 +5,26 @@
 // nondeterminism and mis-accounting while a simulation runs; the analyzers
 // here reject the *sources* of those bugs before any simulation happens:
 //
-//   - maprange:    unordered map iteration in simulation-state packages
-//   - nondeterm:   wall-clock time, global math/rand and goroutines in the
+//   - maprange:     unordered map iteration in simulation-state packages
+//   - nondeterm:    wall-clock time, global math/rand and goroutines in the
 //     cycle-level hot paths
-//   - fingerprint: config fields invisible to Validate or the harness memo
+//   - fingerprint:  config fields invisible to Validate or the harness memo
 //     key (the PR-1 memo-aliasing bug, made structural)
-//   - statsflow:   counters that are incremented but can never reach
+//   - statsflow:    counters that are incremented but can never reach
 //     ExtraStats/Result
-//   - floatsum:    order-sensitive float accumulation over map iteration
-//   - nextevent:   per-cycle state mutators that opted out of the
+//   - floatsum:     order-sensitive float accumulation over map iteration
+//   - nopanic:      panic/log.Fatal/os.Exit in the fault-isolated
+//     simulation packages
+//   - skipcontract: per-cycle state mutators that opted out of the
 //     cycle-skipping event protocol (e.g. an OnCycle override inheriting
-//     BasePolicy's quiescent NextEvent)
+//     BasePolicy's quiescent NextEvent), or whose SkipCycles/Skip does not
+//     reproduce every field they write
+//   - errflow:      discarded errors and non-%w wrapping in the layers the
+//     failure model lives in
 //
 // The suite is built directly on the stdlib go/ast + go/types toolchain so
-// the module stays dependency-free. cmd/lbvet is the command-line driver;
+// the module stays dependency-free. A run is one straight path: load, run
+// the analyzers serially, sort. cmd/lbvet is the command-line driver;
 // repo_clean_test.go gates `go test ./...` on a clean repo.
 package analysis
 
@@ -30,10 +36,8 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // OrderedDirective is the escape-hatch comment that justifies a map
@@ -53,14 +57,14 @@ const OrderedDirective = "//lbvet:ordered"
 //	//lbvet:panic unreachable by construction: only the four Kinds exist
 const PanicDirective = "//lbvet:panic"
 
-// EventBoundDirective is the escape hatch of the skipclosure analyzer
-// (DESIGN.md §11). On a struct field it asserts the field only changes at
-// cycles the type's NextEvent advertises, so a skipped span can never
-// straddle an update and SkipCycles owes it nothing. On a method it asserts
-// the method only executes at advertised event boundaries (a window
-// boundary, a draining transfer that pins NextEvent to now), which excuses
-// every field the method writes — directly or transitively — from the
-// SkipCycles closure. Always give the reason after the directive, e.g.
+// EventBoundDirective is the escape hatch of the skipcontract analyzer's
+// closure layer (DESIGN.md §11). On a struct field it asserts the field
+// only changes at cycles the type's NextEvent advertises, so a skipped span
+// can never straddle an update and SkipCycles owes it nothing. On a method
+// it asserts the method only executes at advertised event boundaries (a
+// window boundary, a draining transfer that pins NextEvent to now), which
+// excuses every field the method writes — directly or transitively — from
+// the SkipCycles closure. Always give the reason after the directive, e.g.
 //
 //	//lbvet:eventbound runs only at the window boundary NextEvent advertises
 const EventBoundDirective = "//lbvet:eventbound"
@@ -85,7 +89,6 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	fset *token.FileSet
 	// ordered maps file name -> set of lines carrying OrderedDirective.
 	ordered map[string]map[int]bool
 	// panicOK maps file name -> set of lines carrying PanicDirective.
@@ -94,12 +97,6 @@ type Package struct {
 	eventBound map[string]map[int]bool
 	// errOK maps file name -> set of lines carrying ErrOKDirective.
 	errOK map[string]map[int]bool
-
-	// summaryOnce guards the lazily built write-summary substrate shared by
-	// the dataflow analyzer (skipclosure); analyzers may run
-	// concurrently over the same package.
-	summaryOnce sync.Once
-	summaries   map[*types.Func]*funcSummary
 }
 
 // Diagnostic is one finding.
@@ -193,8 +190,7 @@ func Analyzers() []*Analyzer {
 		StatsFlow,
 		FloatSum,
 		NoPanic,
-		NextEvent,
-		SkipClosure,
+		SkipContract,
 		ErrFlow,
 	}
 }
@@ -271,86 +267,28 @@ func selectFrom(registry []*Analyzer, names, skip string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Run executes the given analyzers over the loaded packages and returns
-// the findings sorted by position. Per-(analyzer, package) units run
-// concurrently: analyzers only read the type-checked packages (the shared
-// dataflow substrate is built once per package under a sync.Once) and each
-// unit appends to its own slice, so the merged, sorted result is identical
-// at any parallelism level.
+// Run executes the given analyzers over the loaded packages, one after the
+// other, and returns the findings sorted by position. Whole-program
+// analyzers run once with Pass.Pkg nil; the rest run once per package.
+// Analysis is milliseconds against seconds of loading (DESIGN.md §11), so
+// nothing here runs concurrently.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	perPkg, whole := runUnits(fset, pkgs, analyzers, nil)
 	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		diags = append(diags, perPkg[pkg.Path]...)
+	for _, a := range analyzers {
+		if a.Whole {
+			a.Run(&Pass{Fset: fset, All: pkgs, analyzer: a, diags: &diags})
+			continue
+		}
+		for _, pkg := range pkgs {
+			a.Run(&Pass{Fset: fset, Pkg: pkg, All: pkgs, analyzer: a, diags: &diags})
+		}
 	}
-	diags = append(diags, whole...)
 	SortDiagnostics(diags)
 	return diags
 }
 
-// runUnits runs the analyzers and returns per-package findings (from
-// non-Whole analyzers, keyed by import path) and whole-program findings
-// separately — the split the incremental cache stores. Packages whose path
-// is in skipPkgs are not analyzed by per-package analyzers (their findings
-// come from the cache) but still participate in whole-program passes.
-func runUnits(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, skipPkgs map[string]bool) (perPkg map[string][]Diagnostic, whole []Diagnostic) {
-	type unit struct {
-		a   *Analyzer
-		pkg *Package // nil for whole-program units
-	}
-	var units []unit
-	for _, a := range analyzers {
-		if a.Whole {
-			units = append(units, unit{a: a})
-			continue
-		}
-		for _, pkg := range pkgs {
-			if skipPkgs[pkg.Path] {
-				continue
-			}
-			units = append(units, unit{a: a, pkg: pkg})
-		}
-	}
-	results := make([][]Diagnostic, len(units))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				u := units[i]
-				pass := &Pass{Fset: fset, Pkg: u.pkg, All: pkgs, analyzer: u.a, diags: &results[i]}
-				u.a.Run(pass)
-			}
-		}()
-	}
-	for i := range units {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	perPkg = map[string][]Diagnostic{}
-	for i, u := range units {
-		if u.pkg == nil {
-			whole = append(whole, results[i]...)
-		} else {
-			perPkg[u.pkg.Path] = append(perPkg[u.pkg.Path], results[i]...)
-		}
-	}
-	return perPkg, whole
-}
-
-// SortDiagnostics orders findings by file, line, column, analyzer — the
-// stable order every lbvet output format uses.
+// SortDiagnostics orders findings by file, line, column, analyzer, message
+// — the total order every lbvet output format uses.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -363,21 +301,20 @@ func SortDiagnostics(diags []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 
 // Relativize rewrites diagnostic file names under root to module-relative,
 // slash-separated paths, so goldens, CI logs and SARIF locations are stable
-// across machines. Paths outside root are left untouched. Byte offsets are
-// dropped: they are meaningless once the position is detached from a
-// FileSet, and zeroing them keeps fresh and cache-served diagnostics
-// structurally identical.
+// across machines. Paths outside root are left untouched.
 func Relativize(root string, diags []Diagnostic) []Diagnostic {
 	out := make([]Diagnostic, len(diags))
 	copy(out, diags)
 	for i := range out {
-		out[i].Pos.Offset = 0
 		name := out[i].Pos.Filename
 		if !filepath.IsAbs(name) {
 			continue

@@ -123,11 +123,13 @@ func TestFloatSumFixture(t *testing.T)  { runFixture(t, "floatsum", FloatSum) }
 func TestFingerprintBad(t *testing.T)   { runFixture(t, "fingerprintbad", Fingerprint) }
 func TestFingerprintGood(t *testing.T)  { runFixture(t, "fingerprintgood", Fingerprint) }
 func TestNoPanicFixture(t *testing.T)   { runFixture(t, "nopanic", NoPanic) }
-func TestNextEventFixture(t *testing.T) { runFixture(t, "nextevent", NextEvent) }
+func TestErrFlowFixture(t *testing.T)   { runFixture(t, "errflow", ErrFlow) }
 
-func TestSkipClosureFixture(t *testing.T) { runFixture(t, "skipclosure", SkipClosure) }
-
-func TestErrFlowFixture(t *testing.T) { runFixture(t, "errflow", ErrFlow) }
+// The skipcontract fixture holds one package per layer of the contract; each
+// layer is checked alone, and the whole module together.
+func TestNextEventFixture(t *testing.T)    { runFixture(t, "skipcontract/declaration", SkipContract) }
+func TestSkipClosureFixture(t *testing.T)  { runFixture(t, "skipcontract/closure", SkipContract) }
+func TestSkipContractFixture(t *testing.T) { runFixture(t, "skipcontract", SkipContract) }
 
 // TestByName covers the analyzer-subset resolver.
 func TestByName(t *testing.T) {

@@ -110,8 +110,7 @@ func (l *Loader) LoadPatterns(dir string, patterns []string) ([]*Package, error)
 
 // resolvePatternDirs expands Go-style package patterns relative to dir into
 // absolute package directories: "./..." (everything under dir), "x/..." or
-// plain directory paths. Shared by LoadPatterns and the incremental driver,
-// so a cached run resolves exactly the package set a cold run loads.
+// plain directory paths.
 func resolvePatternDirs(dir string, patterns []string) ([]string, error) {
 	var dirs []string
 	seen := map[string]bool{}
@@ -295,7 +294,6 @@ func (l *Loader) load(path string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", path, err)
 	}
 	pkg.Types = tpkg
-	pkg.fset = l.Fset
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

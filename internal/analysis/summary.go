@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// This file is the write-summary substrate of the skipclosure dataflow
-// analyzer. For every function declared in a package it computes which
+// This file is the write-summary substrate of the skipcontract analyzer's
+// closure layer. For every function declared in a package it computes which
 // memory roots the function writes — receiver fields, the whole receiver
 // and parameters — and closes the summaries transitively through
 // same-package calls with a fixpoint over the package call graph.
@@ -30,7 +30,7 @@ import (
 //     `d.inflight.popRoot()` writes "inflight".
 //   - Calls that cannot be resolved to a same-package declaration
 //     (interface methods, cross-package calls, function values) contribute
-//     nothing. skipclosure bounds that blindness by comparing two closures
+//     nothing. skipcontract bounds that blindness by comparing two closures
 //     over the SAME package.
 //
 // Each summary carries two closures: the full one (everything the function
@@ -94,15 +94,8 @@ type funcSummary struct {
 	boundedRecvW  bool
 }
 
-// packageSummaries builds (once per package) the closed write summaries of
-// every declared function, keyed by its types.Func object.
-func packageSummaries(fset *token.FileSet, pkg *Package) map[*types.Func]*funcSummary {
-	pkg.summaryOnce.Do(func() {
-		pkg.summaries = buildSummaries(fset, pkg)
-	})
-	return pkg.summaries
-}
-
+// buildSummaries computes the closed write summaries of every function
+// declared in pkg, keyed by its types.Func object.
 func buildSummaries(fset *token.FileSet, pkg *Package) map[*types.Func]*funcSummary {
 	sums := map[*types.Func]*funcSummary{}
 	var order []*funcSummary // declaration order, for a deterministic fixpoint

@@ -1,8 +1,9 @@
-// Package schemes exercises the skipclosure analyzer: the package name
-// puts it in the simulation-state scope.
+// Package schemes exercises the closure layer of the skipcontract analyzer:
+// the skip method reproduces every per-cycle write. The package name puts it
+// in the simulation-state scope.
 package schemes
 
-// gateStale is the PR 6 fused-wake bug shape: OnCycle flips an issue gate
+// gateStale is the fused-wake bug shape: OnCycle flips an issue gate
 // that SkipCycles forgets, so a skipped span resumes with a stale gate.
 type gateStale struct {
 	cycles int64
@@ -31,6 +32,8 @@ func (t *transitive) OnCycle(cycle int64) {
 }
 
 func (t *transitive) decay() { t.score *= 0.5 }
+
+func (t *transitive) NextEvent(now int64) (int64, bool) { return now + 1, true }
 
 func (t *transitive) SkipCycles(from, to int64) { t.cycles += to - from }
 
@@ -80,6 +83,8 @@ type closed struct {
 
 func (c *closed) OnCycle(int64) { c.cycles++; c.busy++ }
 
+func (c *closed) NextEvent(now int64) (int64, bool) { return now + 1, true }
+
 func (c *closed) SkipCycles(from, to int64) {
 	span := to - from
 	c.cycles += span
@@ -97,6 +102,8 @@ func (q *tickedQueue) TickEach(cycle int64, fn func(int64)) {
 	q.heads++ // want `tickedQueue.TickEach writes field "heads" but Skip does not reproduce it`
 }
 
+func (q *tickedQueue) NextEvent(now int64) (int64, bool) { return now + 1, true }
+
 func (q *tickedQueue) Skip(from, to int64) { q.tokens += float64(to - from) }
 
 // opaque overwrites the whole receiver, which no field set can close over.
@@ -107,5 +114,7 @@ type opaque struct {
 func (o *opaque) OnCycle(int64) { // want `opaque.OnCycle writes through the whole receiver`
 	*o = opaque{cycles: o.cycles + 1}
 }
+
+func (o *opaque) NextEvent(now int64) (int64, bool) { return now + 1, true }
 
 func (o *opaque) SkipCycles(from, to int64) { o.cycles += to - from }

@@ -1,5 +1,6 @@
-// Package schemes exercises the nextevent analyzer: the package name puts
-// it in the simulation-state scope.
+// Package schemes exercises the declaration layer of the skipcontract
+// analyzer: per-cycle mutators declare the event protocol. The package name
+// puts it in the simulation-state scope.
 package schemes
 
 // base mimics sim.BasePolicy: it declares the full event protocol itself,
@@ -11,7 +12,7 @@ func (base) OnCycle(int64)                 {}
 func (base) NextEvent(int64) (int64, bool) { return 0, false }
 func (base) SkipCycles(int64, int64)       {}
 
-// silentWindow is the bug this analyzer exists for: it embeds base,
+// silentWindow is the bug the declaration layer exists for: it embeds base,
 // overrides OnCycle with real window work, and inherits the permanently
 // quiescent NextEvent/SkipCycles. It satisfies the policy interface via
 // promotion, and a skipping run jumps straight over its window boundaries.
@@ -79,7 +80,7 @@ func (l *link) NextEvent(now int64) (int64, bool) {
 	return now, true
 }
 
-// full declares the whole protocol: clean.
+// full declares the whole protocol and closes every write: clean.
 type full struct {
 	integral float64
 }

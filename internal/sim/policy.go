@@ -180,7 +180,7 @@ func (BasePolicy) OnCycle(int64) {}
 
 // NextEvent implements SMPolicy: the base policy is stateless, so it is
 // permanently quiescent. Schemes whose OnCycle does real work must override
-// this (and SkipCycles) — the lbvet nextevent analyzer enforces it.
+// this (and SkipCycles) — the lbvet skipcontract analyzer enforces it.
 func (BasePolicy) NextEvent(int64) (int64, bool) { return 0, false }
 
 // SkipCycles implements SMPolicy: nothing accrues per cycle.
