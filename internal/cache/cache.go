@@ -103,7 +103,7 @@ type Cache struct {
 	setPow2 bool
 
 	mshrCap int
-	mshr    map[memtypes.LineAddr]*MSHREntry
+	mshr    map[memtypes.LineAddr]MSHREntry
 
 	writeAllocate bool // false: L1 policy (write-evict / no-allocate)
 
@@ -115,69 +115,99 @@ type Cache struct {
 	Stats Stats
 }
 
-// lineSet is an exact, open-addressed (linear-probe) set of line addresses.
-// It replaces a map[LineAddr]struct{} on the per-access classification path:
-// same answers, no per-insert bucket allocation, and about half the memory.
-// The zero value is an empty set; address 0 is held out-of-table because an
-// empty slot is encoded as 0.
+// lineSet is an exact set of line addresses, stored as 512-bit presence
+// pages: one page covers 512 consecutive lines (64 KB of address space) and
+// is found through an open-addressed (linear-probe) page table. Streaming
+// and tiled address streams are dense, so a page holds many lines and the
+// set costs about one bit per line; the table grows only when a new page
+// appears, not on every line. The zero value is an empty set.
 type lineSet struct {
-	slots   []memtypes.LineAddr
-	shift   uint // 64 - log2(len(slots)); Fibonacci-hash high bits
-	n       int
-	hasZero bool
+	pages []presencePage
+	shift uint // 64 - log2(len(pages)); Fibonacci-hash high bits
+	used  int  // occupied pages
+	n     int  // distinct lines
+}
+
+// presencePage holds one bit per line of its page. tag is the page's key
+// plus one, so a zero tag marks an empty table slot.
+type presencePage struct {
+	tag  uint64
+	bits [pageLines / 64]uint64
+}
+
+const (
+	lineBits  = 7 // log2(memtypes.LineSize)
+	pageBits  = 9 // log2(pageLines)
+	pageLines = 1 << pageBits
+)
+
+// pageOf splits a line address into its page key and its line's bit within
+// the page. The key also carries the address's offset inside its line, so
+// the split is one-to-one on every 64-bit value: an address that is not
+// line-aligned (a JSON kernel may place a footprint at any byte) gets pages
+// of its own instead of sharing a bit with its aligned neighbour.
+func pageOf(l memtypes.LineAddr) (key uint64, bit uint) {
+	n := uint64(l) >> lineBits
+	off := uint64(l) & (memtypes.LineSize - 1)
+	return n>>pageBits | off<<(64-lineBits-pageBits), uint(n & (pageLines - 1))
 }
 
 // Add inserts l, reporting whether it was absent (first-ever touch).
 func (s *lineSet) Add(l memtypes.LineAddr) bool {
-	if l == 0 {
-		added := !s.hasZero
-		s.hasZero = true
-		return added
+	key, bit := pageOf(l)
+	p := s.page(key + 1)
+	w, m := bit/64, uint64(1)<<(bit%64)
+	if p.bits[w]&m != 0 {
+		return false
 	}
-	if (s.n+1)*4 > len(s.slots)*3 {
+	p.bits[w] |= m
+	s.n++
+	return true
+}
+
+// page returns the page stored under tag, claiming an empty slot for it if
+// it is new.
+func (s *lineSet) page(tag uint64) *presencePage {
+	if (s.used+1)*4 > len(s.pages)*3 {
 		s.grow()
 	}
-	mask := uint64(len(s.slots) - 1)
-	i := (uint64(l) * 0x9E3779B97F4A7C15) >> s.shift
+	mask := uint64(len(s.pages) - 1)
+	i := (tag * 0x9E3779B97F4A7C15) >> s.shift
 	for {
-		switch s.slots[i] {
+		p := &s.pages[i]
+		switch p.tag {
+		case tag:
+			return p
 		case 0:
-			s.slots[i] = l
-			s.n++
-			return true
-		case l:
-			return false
+			p.tag = tag
+			s.used++
+			return p
 		}
 		i = (i + 1) & mask
 	}
 }
 
 // Len returns the number of distinct addresses recorded.
-func (s *lineSet) Len() int {
-	if s.hasZero {
-		return s.n + 1
-	}
-	return s.n
-}
+func (s *lineSet) Len() int { return s.n }
 
 func (s *lineSet) grow() {
-	newLen := 256
-	if len(s.slots) > 0 {
-		newLen = len(s.slots) * 2
+	newLen := 16
+	if len(s.pages) > 0 {
+		newLen = len(s.pages) * 2
 	}
-	old := s.slots
-	s.slots = make([]memtypes.LineAddr, newLen)
+	old := s.pages
+	s.pages = make([]presencePage, newLen)
 	s.shift = uint(64 - bits.TrailingZeros(uint(newLen)))
 	mask := uint64(newLen - 1)
-	for _, l := range old {
-		if l == 0 {
+	for _, p := range old {
+		if p.tag == 0 {
 			continue
 		}
-		i := (uint64(l) * 0x9E3779B97F4A7C15) >> s.shift
-		for s.slots[i] != 0 {
+		i := (p.tag * 0x9E3779B97F4A7C15) >> s.shift
+		for s.pages[i].tag != 0 {
 			i = (i + 1) & mask
 		}
-		s.slots[i] = l
+		s.pages[i] = p
 	}
 }
 
@@ -201,7 +231,7 @@ func New(sizeBytes, ways, mshrs int, writeAllocate bool) *Cache {
 		ways:          ways,
 		lines:         make([]line, sets*ways),
 		mshrCap:       mshrs,
-		mshr:          make(map[memtypes.LineAddr]*MSHREntry),
+		mshr:          make(map[memtypes.LineAddr]MSHREntry),
 		writeAllocate: writeAllocate,
 	}
 	c.initGeometry()
@@ -314,8 +344,9 @@ func (c *Cache) Load(l memtypes.LineAddr, hpc uint32, allocate bool) (Result, Ev
 		ln.hpc = hpc
 		if ln.pending {
 			c.Stats.LoadPendingHits++
-			if e := c.mshr[l]; e != nil {
+			if e, ok := c.mshr[l]; ok {
 				e.Merged++
+				c.mshr[l] = e
 			}
 			return HitPending, Eviction{}, false
 		}
@@ -327,6 +358,7 @@ func (c *Cache) Load(l memtypes.LineAddr, hpc uint32, allocate bool) (Result, Ev
 		// Same line already being fetched without an allocated way
 		// (bypass in flight): merge.
 		e.Merged++
+		c.mshr[l] = e
 		c.Stats.LoadPendingHits++
 		return HitPending, Eviction{}, false
 	}
@@ -338,13 +370,13 @@ func (c *Cache) Load(l memtypes.LineAddr, hpc uint32, allocate bool) (Result, Ev
 	c.Stats.LoadMisses++
 	if !allocate {
 		c.Stats.Bypasses++
-		c.mshr[l] = &MSHREntry{Line: l}
+		c.mshr[l] = MSHREntry{Line: l}
 		return MissNoAlloc, Eviction{}, false
 	}
 	if victim == nil {
 		// Every way reserved by in-flight fills: fetch without allocating.
 		c.Stats.Bypasses++
-		c.mshr[l] = &MSHREntry{Line: l}
+		c.mshr[l] = MSHREntry{Line: l}
 		return MissNoAlloc, Eviction{}, false
 	}
 	var ev Eviction
@@ -358,17 +390,17 @@ func (c *Cache) Load(l memtypes.LineAddr, hpc uint32, allocate bool) (Result, Ev
 		}
 	}
 	*victim = line{valid: true, pending: true, tag: l, hpc: hpc, lru: c.stamp}
-	c.mshr[l] = &MSHREntry{Line: l, Allocated: true}
+	c.mshr[l] = MSHREntry{Line: l, Allocated: true}
 	return Miss, ev, evicted
 }
 
 // Fill completes the outstanding fetch of a line. It returns the MSHR entry
-// (nil if none was outstanding, e.g. a store fill in a write-allocate cache
-// that was silently dropped).
-func (c *Cache) Fill(l memtypes.LineAddr) *MSHREntry {
+// and true, or false if none was outstanding (e.g. a store fill in a
+// write-allocate cache that was silently dropped).
+func (c *Cache) Fill(l memtypes.LineAddr) (MSHREntry, bool) {
 	e, ok := c.mshr[l]
 	if !ok {
-		return nil
+		return MSHREntry{}, false
 	}
 	delete(c.mshr, l)
 	if e.Allocated {
@@ -376,7 +408,7 @@ func (c *Cache) Fill(l memtypes.LineAddr) *MSHREntry {
 			ln.pending = false
 		}
 	}
-	return e
+	return e, true
 }
 
 // Store performs a store access. In a write-evict cache (writeAllocate ==
@@ -480,6 +512,6 @@ func (c *Cache) Resize(sizeBytes int) {
 	}
 	c.sets = sizeBytes / (memtypes.LineSize * c.ways)
 	c.lines = make([]line, c.sets*c.ways)
-	c.mshr = make(map[memtypes.LineAddr]*MSHREntry)
+	c.mshr = make(map[memtypes.LineAddr]MSHREntry)
 	c.initGeometry()
 }

@@ -47,8 +47,8 @@ func TestLoadMissFillHit(t *testing.T) {
 	mustLoad(t, c, l, Miss)
 	// Before fill, accesses merge.
 	mustLoad(t, c, l, HitPending)
-	if e := c.Fill(l); e == nil || e.Merged != 1 {
-		t.Fatalf("Fill = %+v, want merged=1", e)
+	if e, ok := c.Fill(l); !ok || e.Merged != 1 {
+		t.Fatalf("Fill = %+v, %v, want merged=1", e, ok)
 	}
 	mustLoad(t, c, l, Hit)
 	if c.Stats.LoadHits != 1 || c.Stats.LoadMisses != 1 || c.Stats.LoadPendingHits != 1 {
@@ -145,9 +145,8 @@ func TestWriteEvictStoreOnPendingLine(t *testing.T) {
 	if c.OutstandingFills() != 1 {
 		t.Fatalf("outstanding fills = %d, want 1", c.OutstandingFills())
 	}
-	e := c.Fill(a)
-	if e == nil || !e.Allocated {
-		t.Fatalf("Fill = %+v, want allocated entry", e)
+	if e, ok := c.Fill(a); !ok || !e.Allocated {
+		t.Fatalf("Fill = %+v, %v, want allocated entry", e, ok)
 	}
 	if !c.Probe(a) {
 		t.Fatal("line reserved by the in-flight fill was lost: store on a pending line must not invalidate it")
@@ -377,9 +376,11 @@ func TestHashPCBadBitsPanics(t *testing.T) {
 }
 
 // TestLoadAllocCeiling pins the steady-state allocation cost of Load: a
-// warm hit touches no heap at all, and a classified miss only pays the MSHR
-// entry (the seen-set is open-addressed, not a map). The ceiling exists to
-// catch a regression back to per-access map/bucket allocation.
+// warm hit touches no heap at all, and neither does a warm miss — a miss to
+// a line the cache has seen before, its Fill and the eviction it forces.
+// MSHR entries are map values, not pointers, and the seen-set only grows
+// when a line lands on a page it has never held. The ceiling exists to
+// catch a regression back to per-access allocation.
 func TestLoadAllocCeiling(t *testing.T) {
 	c := New(48*1024, 8, 64, false)
 	const resident = 128
@@ -395,5 +396,99 @@ func TestLoadAllocCeiling(t *testing.T) {
 	})
 	if perOp > 0 {
 		t.Errorf("warm-hit Load allocates %.3f objects/op, want 0", perOp)
+	}
+
+	// Cycle through four times the cache's capacity, so every access
+	// misses and evicts; one pass first warms the seen-set.
+	span := 4 * c.Sets() * c.Ways()
+	lineOf := func(j int) memtypes.LineAddr { return memtypes.LineAddr(j % span * memtypes.LineSize) }
+	for j := 0; j < span; j++ {
+		c.Load(lineOf(j), 0, true)
+		c.Fill(lineOf(j))
+	}
+	before := c.Stats
+	j := 0
+	perOp = testing.AllocsPerRun(4096, func() {
+		if r, _, _ := c.Load(lineOf(j), 0, true); r != Miss {
+			t.Fatalf("Load(%#x) = %v, want Miss", lineOf(j), r)
+		}
+		c.Fill(lineOf(j))
+		j++
+	})
+	if perOp > 0 {
+		t.Errorf("warm miss+Fill allocates %.3f objects/op, want 0", perOp)
+	}
+	if c.Stats.Evictions == before.Evictions || c.Stats.ColdMisses != before.ColdMisses {
+		t.Fatalf("measured loop: %d evictions, %d new cold misses; want evicting misses to seen lines",
+			c.Stats.Evictions-before.Evictions, c.Stats.ColdMisses-before.ColdMisses)
+	}
+}
+
+// TestLineSetMatchesMap checks the paged seen-set against a map reference:
+// every Add must report the same first-touch answer, and the final Len
+// must agree. The inputs cover seeded random lines, dense streams, address
+// 0, lines on both sides of a page boundary and addresses that are not
+// line-aligned.
+func TestLineSetMatchesMap(t *testing.T) {
+	const page = pageLines * memtypes.LineSize
+	inputs := []struct {
+		name string
+		gen  func(rng *rand.Rand) []memtypes.LineAddr
+	}{
+		{"random", func(rng *rand.Rand) []memtypes.LineAddr {
+			out := make([]memtypes.LineAddr, 5000)
+			for i := range out {
+				// A small pool forces repeats; the high bits spread pages.
+				out[i] = memtypes.LineAddr(uint64(rng.Intn(2000))<<40|uint64(rng.Intn(4096))) * memtypes.LineSize
+			}
+			return out
+		}},
+		{"dense", func(rng *rand.Rand) []memtypes.LineAddr {
+			var out []memtypes.LineAddr
+			start := uint64(rng.Intn(1 << 20))
+			for pass := 0; pass < 2; pass++ {
+				for i := uint64(0); i < 3*pageLines; i++ {
+					out = append(out, memtypes.LineAddr((start+i)*memtypes.LineSize))
+				}
+			}
+			return out
+		}},
+		{"zero", func(rng *rand.Rand) []memtypes.LineAddr {
+			return []memtypes.LineAddr{0, memtypes.LineSize, 0, page, 0}
+		}},
+		{"page-boundary", func(rng *rand.Rand) []memtypes.LineAddr {
+			var out []memtypes.LineAddr
+			for k := uint64(1); k <= 64; k++ {
+				edge := k * uint64(rng.Intn(1<<30)+1) * page
+				for _, a := range []uint64{edge - memtypes.LineSize, edge, edge + memtypes.LineSize, edge - memtypes.LineSize, edge} {
+					out = append(out, memtypes.LineAddr(a))
+				}
+			}
+			return out
+		}},
+		{"unaligned", func(rng *rand.Rand) []memtypes.LineAddr {
+			out := make([]memtypes.LineAddr, 3000)
+			for i := range out {
+				out[i] = memtypes.LineAddr(rng.Intn(64 * memtypes.LineSize))
+			}
+			out = append(out, ^memtypes.LineAddr(0), ^memtypes.LineAddr(0), 1<<63)
+			return out
+		}},
+	}
+	for _, in := range inputs {
+		for seed := int64(1); seed <= 5; seed++ {
+			var s lineSet
+			ref := map[memtypes.LineAddr]struct{}{}
+			for i, l := range in.gen(rand.New(rand.NewSource(seed))) {
+				_, had := ref[l]
+				ref[l] = struct{}{}
+				if got := s.Add(l); got != !had {
+					t.Fatalf("%s seed %d: Add #%d (%#x) = %v, want %v", in.name, seed, i, uint64(l), got, !had)
+				}
+			}
+			if s.Len() != len(ref) {
+				t.Fatalf("%s seed %d: Len = %d, want %d", in.name, seed, s.Len(), len(ref))
+			}
+		}
 	}
 }

@@ -68,8 +68,10 @@ type Request struct {
 	// arrives (e.g. the sequential victim-tag-table search that preceded
 	// the fetch).
 	ExtraLatency int
-	// Meta carries an opaque pointer for the issuer (e.g. MSHR entry).
-	Meta any
+	// RN is the warp-register number a RegBackup/RegRestore request moves
+	// (zero for other kinds). A typed field, unlike an interface, stores
+	// it without a heap allocation.
+	RN int
 }
 
 // Response is the completion of a Request.
@@ -106,8 +108,7 @@ func (p *RequestPool) Get() *Request {
 }
 
 // Put recycles a Request the engine has finished with. The object is zeroed
-// immediately so a stale field (or the opaque Meta pointer) can neither
-// leak into the next use nor pin dead state for the GC.
+// immediately so a stale field can never leak into the next use.
 func (p *RequestPool) Put(r *Request) {
 	*r = Request{}
 	p.free = append(p.free, r)

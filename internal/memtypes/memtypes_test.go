@@ -70,7 +70,7 @@ func TestRequestPoolRoundTrip(t *testing.T) {
 	var p RequestPool
 	r := p.Get()
 	r.Line, r.Kind, r.SM, r.WarpID, r.PC = 0x1000, Store, 3, 7, 42
-	r.IssueCycle, r.ExtraLatency, r.Meta = 99, 5, "stale"
+	r.IssueCycle, r.ExtraLatency, r.RN = 99, 5, 600
 	p.Put(r)
 	if got := p.Get(); *got != (Request{}) {
 		t.Fatalf("recycled Get returned non-zero Request: %+v", *got)

@@ -40,6 +40,7 @@ type GPU struct {
 	l2        *cache.Cache
 	l2Queue   ring.Buffer[*memtypes.Request]
 	l2Waiters map[memtypes.LineAddr][]*memtypes.Request
+	l2Spare   spareLists[*memtypes.Request]
 	l2Service int64
 	l2Ports   int
 
@@ -418,7 +419,7 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 		case cache.Hit:
 			g.fromL2.Send(req, cyc+g.l2Service)
 		case cache.HitPending:
-			g.l2Waiters[req.Line] = append(g.l2Waiters[req.Line], req)
+			g.l2Waiters[req.Line] = append(g.l2Spare.list(g.l2Waiters, req.Line), req)
 		case cache.Miss, cache.MissNoAlloc:
 			g.enqueueDRAM(req)
 		case cache.Stall:
@@ -449,10 +450,12 @@ func (g *GPU) dramComplete(req *memtypes.Request, cyc int64) {
 	case memtypes.Load:
 		g.l2.Fill(req.Line)
 		g.fromL2.Send(req, cyc)
-		for _, waiter := range g.l2Waiters[req.Line] {
+		ws := g.l2Waiters[req.Line]
+		for _, waiter := range ws {
 			g.fromL2.Send(waiter, cyc)
 		}
 		delete(g.l2Waiters, req.Line)
+		g.l2Spare.put(ws)
 	case memtypes.RegBackup, memtypes.RegRestore:
 		g.fromL2.Send(req, cyc)
 	}

@@ -275,5 +275,5 @@ func (p *regTrafficPolicy) OnCycle(cycle int64) {
 }
 
 func (p *regTrafficPolicy) OnRegResponse(req *memtypes.Request, cycle int64) {
-	p.scheme.done[req.Meta.(int)] = true
+	p.scheme.done[req.RN] = true
 }

@@ -86,7 +86,10 @@ type SM struct {
 	lsu      ring.Buffer[lsuOp]
 	lsuWidth int
 	waiters  map[memtypes.LineAddr][]*Warp
-	outbox   ring.Buffer[*memtypes.Request]
+	// spareWaiters recycles the waiter lists of filled lines (see
+	// spareLists).
+	spareWaiters spareLists[*Warp]
+	outbox       ring.Buffer[*memtypes.Request]
 
 	// pool recycles this SM's Request objects. The memory phases return
 	// every dying request to the pool of the SM that issued it (req.SM), so
@@ -243,8 +246,8 @@ func (sm *SM) HasFreeSlot() bool { return sm.freeSlots > 0 }
 // SendRegTraffic emits one register backup (write) or restore (read) line
 // request directly to off-chip memory. rn identifies the register; the
 // paper maps it to a dedicated backup region (here one line per register at
-// a reserved address range). The request is returned so the policy can
-// match the completion in OnRegResponse.
+// a reserved address range). The request carries rn in its RN field and is
+// returned so the policy can match the completion in OnRegResponse.
 func (sm *SM) SendRegTraffic(kind memtypes.Kind, rn int, cycle int64) *memtypes.Request {
 	if kind != memtypes.RegBackup && kind != memtypes.RegRestore {
 		//lbvet:panic caller bug, not a run-time condition: only the two register kinds are valid here
@@ -253,7 +256,7 @@ func (sm *SM) SendRegTraffic(kind memtypes.Kind, rn int, cycle int64) *memtypes.
 	const backupRegion = uint64(1) << 60
 	line := memtypes.LineAddr(backupRegion + uint64(sm.id)<<20 + uint64(rn)*memtypes.LineSize)
 	req := sm.pool.Get()
-	req.Line, req.Kind, req.SM, req.WarpID, req.IssueCycle, req.Meta = line, kind, sm.id, -1, cycle, rn
+	req.Line, req.Kind, req.SM, req.WarpID, req.IssueCycle, req.RN = line, kind, sm.id, -1, cycle, rn
 	sm.outbox.Push(req)
 	return req
 }
@@ -564,7 +567,7 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 		// Unreachable: the structural check above covers MSHR exhaustion.
 		return false
 	case cache.HitPending:
-		sm.waiters[line] = append(sm.waiters[line], w)
+		sm.waiters[line] = append(sm.spareWaiters.list(sm.waiters, line), w)
 		sm.Stats.LoadReqs[OutPendingHit]++
 		sm.pol.OnLoadOutcome(warpIndex(sm, w), l.PC, line, OutPendingHit, cycle)
 	case cache.Miss, cache.MissNoAlloc:
@@ -572,7 +575,7 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 		if res == cache.MissNoAlloc {
 			out = OutBypass
 		}
-		sm.waiters[line] = append(sm.waiters[line], w)
+		sm.waiters[line] = append(sm.spareWaiters.list(sm.waiters, line), w)
 		req := sm.pool.Get()
 		req.Line, req.Kind, req.SM, req.WarpID, req.PC, req.IssueCycle, req.ExtraLatency =
 			line, memtypes.Load, sm.id, warpIndex(sm, w), l.PC, cycle, vlat
@@ -625,10 +628,38 @@ func (sm *SM) handleResponse(req *memtypes.Request, cycle int64) {
 		for _, w := range ws {
 			sm.finishLoad(w, cycle, fillWakeLatency+int64(req.ExtraLatency))
 		}
+		sm.spareWaiters.put(ws)
 		sm.pool.Put(req)
 	case memtypes.RegBackup, memtypes.RegRestore:
 		sm.pol.OnRegResponse(req, cycle)
 		sm.pool.Put(req)
+	}
+}
+
+// spareLists holds emptied waiter lists for reuse. A line's list is handed
+// back once its fill has woken every waiter, and the next line to miss
+// starts from it instead of a fresh slice, so a warm machine registers
+// waiters without allocating. A list only stores the order of its line's
+// waiters, so which recycled backing array a line gets is invisible to
+// simulated state.
+type spareLists[T any] [][]T
+
+// list returns line's waiter list in m, or an empty recycled one when the
+// line has none.
+func (s *spareLists[T]) list(m map[memtypes.LineAddr][]T, line memtypes.LineAddr) []T {
+	if ws, ok := m[line]; ok || len(*s) == 0 {
+		return ws
+	}
+	ws := (*s)[len(*s)-1]
+	*s = (*s)[:len(*s)-1]
+	return ws
+}
+
+// put recycles a list whose line has been deleted from its map and whose
+// waiters have all been served.
+func (s *spareLists[T]) put(ws []T) {
+	if cap(ws) > 0 {
+		*s = append(*s, ws[:0])
 	}
 }
 

@@ -1,6 +1,10 @@
 package workload
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"sync"
+)
 
 // Benchmark pairs a synthetic kernel with its Table 2 identity.
 type Benchmark struct {
@@ -13,7 +17,10 @@ type Benchmark struct {
 	// Sensitive is the paper's cache-sensitivity class (Table 2): an app is
 	// cache-sensitive when a 192 KB L1 speeds it up >30 % over 48 KB.
 	Sensitive bool
-	// Kernel is the synthetic model.
+	// Kernel is the synthetic model. The Table 2 kernels are built once
+	// and shared by every caller, including concurrently running
+	// simulations, so they are read-only: a caller that needs a variant
+	// copies the kernel first, as WithSeed does.
 	Kernel *Kernel
 }
 
@@ -51,8 +58,16 @@ const defaultGrid = 4096
 const defaultIters = 2500
 
 // All returns the 20 benchmark models of Table 2, in the paper's order
-// (cache-sensitive first).
-func All() []Benchmark {
+// (cache-sensitive first). The slice is the caller's own; the kernels it
+// points to are shared and read-only (see Benchmark.Kernel).
+func All() []Benchmark { return slices.Clone(table()) }
+
+// table builds the Table 2 models on first use and returns the same slice
+// to every later caller.
+var table = sync.OnceValue(buildTable)
+
+// buildTable constructs the Table 2 models.
+func buildTable() []Benchmark {
 	return []Benchmark{
 		// ---- Cache-sensitive (Table 2a) ----
 		{
@@ -263,7 +278,7 @@ func All() []Benchmark {
 
 // Names returns the benchmark codes in Table 2 order.
 func Names() []string {
-	bs := All()
+	bs := table()
 	names := make([]string, len(bs))
 	for i, b := range bs {
 		names[i] = b.Name
@@ -273,7 +288,7 @@ func Names() []string {
 
 // ByName looks a benchmark up by its Table 2 code.
 func ByName(name string) (Benchmark, bool) {
-	for _, b := range All() {
+	for _, b := range table() {
 		if b.Name == name {
 			return b, true
 		}
@@ -284,7 +299,7 @@ func ByName(name string) (Benchmark, bool) {
 // SensitiveNames returns the cache-sensitive benchmark codes, sorted.
 func SensitiveNames() []string {
 	var out []string
-	for _, b := range All() {
+	for _, b := range table() {
 		if b.Sensitive {
 			out = append(out, b.Name)
 		}

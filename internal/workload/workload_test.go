@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -216,6 +217,30 @@ func TestByName(t *testing.T) {
 	}
 	if len(SensitiveNames()) != 10 {
 		t.Fatal("SensitiveNames() != 10")
+	}
+}
+
+// TestTableShared checks the build-once table: every lookup returns the
+// same kernel, and the slice All returns is the caller's own, so
+// overwriting or reordering it changes neither ByName nor Names.
+func TestTableShared(t *testing.T) {
+	a, _ := ByName("S2")
+	b, _ := ByName("S2")
+	if a.Kernel == nil || a.Kernel != b.Kernel {
+		t.Fatalf("two ByName(S2) calls returned kernels %p and %p, want one shared kernel", a.Kernel, b.Kernel)
+	}
+	names := Names()
+	all := All()
+	all[0] = Benchmark{Name: "XX"}
+	all[1], all[2] = all[2], all[1]
+	if _, ok := ByName("XX"); ok {
+		t.Fatal("a write to All's slice reached ByName")
+	}
+	if c, ok := ByName("S2"); !ok || c.Kernel != a.Kernel {
+		t.Fatal("a write to All's slice replaced the shared S2 entry")
+	}
+	if got := Names(); !slices.Equal(got, names) {
+		t.Fatalf("Names after writing to All's slice = %v, want %v", got, names)
 	}
 }
 

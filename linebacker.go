@@ -124,7 +124,9 @@ func NewKernel(name string, loads, stores []LoadSpec, computePerLoad, computeLat
 	return workload.NewKernel(name, loads, stores, computePerLoad, computeLatency, iterations, warpsPerCTA, regsPerThread, gridCTAs)
 }
 
-// Benchmarks returns the 20 Table 2 application models.
+// Benchmarks returns the 20 Table 2 application models. Their kernels are
+// shared by every caller and read-only; a caller that needs a variant
+// copies one first, as Kernel.WithSeed does.
 func Benchmarks() []workload.Benchmark { return workload.All() }
 
 // Benchmark looks up one Table 2 application model by code (S2, BI, ...).
