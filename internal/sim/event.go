@@ -127,16 +127,17 @@ func (g *GPU) stepSM(sm *SM, cyc int64) {
 		sm.nextWake = cyc + 1
 		return
 	}
-	// An issue-less tick means every scheduler completed a full scan, so
-	// sm.scanWake already holds the warps' next ready cycle; fold in the
-	// policy's self-event and the outbox and the wake is complete. The LSU
-	// contributes nothing of its own: an inactive tick implies it is empty
-	// or head-of-line stalled on a full MSHR (runLSU would otherwise have
-	// moved and made the tick active), and a stalled head resolves only
-	// through handleResponse, which resets nextWake.
+	// In an issue-less tick every scheduler either scanned its warps or
+	// answered from its exact wake bound (pickWarp), so sm.scanWake already
+	// holds the warps' next ready cycle; fold in the policy's self-event
+	// and the outbox and the wake is complete. The LSU contributes nothing
+	// of its own: an inactive tick implies it is empty or head-of-line
+	// stalled on a full MSHR (runLSU would otherwise have moved and made
+	// the tick active), and a stalled head resolves only through
+	// handleResponse, which resets nextWake.
 	//
 	// One staleness hazard: the gate checks embedded in this tick's issue
-	// scan ran BEFORE the policy's OnCycle hook, so if the policy had a
+	// stage ran BEFORE the policy's OnCycle hook, so if the policy had a
 	// self-event at this very cycle (a window boundary flipping
 	// CTAActive/WarpActive during OnCycle), scanWake may ignore warps the
 	// flip just enabled — the SM would oversleep a whole active window

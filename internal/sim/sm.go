@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/linebacker-sim/linebacker/internal/cache"
 	"github.com/linebacker-sim/linebacker/internal/config"
@@ -80,8 +81,13 @@ type SM struct {
 	freeSlots   int
 	warpsPerCTA int
 
-	// GTO scheduler state: the last warp each scheduler issued from.
+	// GTO scheduler state, indexed by scheduler: the last warp each
+	// scheduler issued from; its live warp slots oldest first, by (CTA seq,
+	// warp idx); and its wake bound, at or below the readyAt of every
+	// alive, under-MLP warp it owns (see pickWarp).
 	lastIssued []int
+	order      [][]int
+	schedWake  []int64
 
 	lsu      ring.Buffer[lsuOp]
 	lsuWidth int
@@ -109,9 +115,9 @@ type SM struct {
 	// stall verdict for the sleep span — the predicate cannot change while
 	// the SM sleeps (only a fill changes it, and a fill resets nextWake),
 	// so the per-cycle accrual avoids re-deriving the head's address.
-	// scanWake is the merged future-ready minimum gathered by issue()'s
-	// failed scheduler scans — valid only for the cycle of an issue-less
-	// tick, where it hands stepSM the warp part of NextEvent for free.
+	// scanWake is the merged future-ready minimum of issue()'s failed
+	// pickWarp calls — valid only for the cycle of an issue-less tick,
+	// where it hands stepSM the warp part of NextEvent for free.
 	// slept counts the cycles this SM's state advanced through the
 	// closed-form sleep/skip path instead of a full tick — per-SM sleeping
 	// and global fast-forwards both land here. Diagnostic only (the skip
@@ -161,6 +167,13 @@ func newSM(id int, cfg *config.Config, k *workload.Kernel) *SM {
 	}
 	sm.maxResidentCTAs = MaxResidentCTAs(g, k)
 	sm.warps = make([]Warp, sm.maxResidentCTAs*k.WarpsPerCTA)
+	// Each list gets its partition's full size, so launches never grow it.
+	ns := g.NumSchedulers
+	sm.order = make([][]int, ns)
+	sm.schedWake = make([]int64, ns)
+	for s := range sm.order {
+		sm.order[s] = make([]int, 0, (len(sm.warps)-s+ns-1)/ns)
+	}
 	sm.ctas = make([]CTASlotInfo, sm.maxResidentCTAs)
 	sm.freeSlots = sm.maxResidentCTAs
 	return sm
@@ -306,9 +319,15 @@ func (sm *SM) launchCTA(seq int, cycle int64) bool {
 		FirstRN: first, RegCount: sm.kernel.RegsPerCTA(),
 		WarpsLive: sm.warpsPerCTA,
 	}
+	// The dispatcher launches CTAs in seq order, so this CTA is the youngest
+	// on the SM and appending keeps every scheduler's list in age order. Its
+	// warps are ready at once, so their schedulers' bounds drop to 0.
+	ns := sm.cfg.GPU.NumSchedulers
 	for i := 0; i < sm.warpsPerCTA; i++ {
-		w := &sm.warps[slot*sm.warpsPerCTA+i]
-		*w = Warp{Alive: true, CTASlot: slot, Idx: i, Seq: seq}
+		wi := slot*sm.warpsPerCTA + i
+		sm.warps[wi] = Warp{Alive: true, CTASlot: slot, Idx: i, Seq: seq}
+		sm.order[wi%ns] = append(sm.order[wi%ns], wi)
+		sm.schedWake[wi%ns] = 0
 	}
 	sm.freeSlots--
 	sm.Stats.CTALaunches++
@@ -352,9 +371,11 @@ func (sm *SM) tick(cycle int64) bool {
 }
 
 // issue runs the GTO warp schedulers; true if any of them issued. When no
-// scheduler issues, every scheduler performed a full scan of its warp
-// partition, and the merged future-ready minimum is cached in scanWake —
-// the per-SM sleeper (event.go) reads it instead of re-scanning.
+// scheduler issues, the merged future-ready minimum of their pickWarp calls
+// is cached in scanWake — the earliest readyAt among the SM's alive,
+// under-MLP warps, exact whether a scheduler scanned or answered from its
+// wake bound — and the per-SM sleeper (event.go) reads it instead of
+// re-scanning.
 func (sm *SM) issue(cycle int64) bool {
 	ns := sm.cfg.GPU.NumSchedulers
 	issued := false
@@ -377,11 +398,24 @@ func (sm *SM) issue(cycle int64) bool {
 }
 
 // pickWarp implements greedy-then-oldest among the scheduler's warps. The
-// second result is the earliest readyAt among this scheduler's alive,
-// under-MLP warps that are not ready yet (neverWake if none) — gathered
-// for free during the failed scan; meaningful only when no warp is picked.
+// second result, meaningful only when no warp is picked, is the earliest
+// readyAt among the scheduler's alive, under-MLP warps that are not ready
+// yet (neverWake if none).
+//
+// Two pieces of per-scheduler state keep the common cases short. The age
+// list sm.order[sched] makes the first eligible warp of the scan the
+// oldest one. The wake bound sm.schedWake[sched] answers the failed case
+// in O(1): it never exceeds the readyAt of an alive, under-MLP warp of
+// the scheduler, so below it no warp is ready. A failed scan sets it to
+// the exact future; an eligible warp's readyAt moves only when it issues,
+// and only launchCTA and finishLoad can make a warp eligible, each
+// lowering the bound, so the bound returned below equals what a scan
+// would return. Gates are outside the bound: a ready warp a gate turned
+// away sets it to cycle+1, because any policy hook may flip the gate.
 func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
-	ns := sm.cfg.GPU.NumSchedulers
+	if wake := sm.schedWake[sched]; cycle < wake {
+		return -1, wake
+	}
 	mlp := sm.cfg.GPU.MaxWarpMLP
 	// Greedy: stick with the last issued warp while it remains ready.
 	if last := sm.lastIssued[sched]; last >= 0 {
@@ -390,14 +424,13 @@ func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
 			return last, 0
 		}
 	}
-	// Oldest: smallest (CTA seq, warp idx) among ready warps. Policy gates
-	// are consulted only for warps ready this cycle, exactly as the fused
-	// w.ready(...) check did: not-ready short-circuited past the gates.
-	best := -1
+	// Oldest: the first ready warp in age order whose gates pass. Gates are
+	// consulted only for warps ready this cycle.
 	future := neverWake
-	for i := sched; i < len(sm.warps); i += ns {
+	gated := false
+	for _, i := range sm.order[sched] {
 		w := &sm.warps[i]
-		if !w.Alive || w.memPending >= mlp {
+		if w.memPending >= mlp {
 			continue
 		}
 		if w.readyAt > cycle {
@@ -406,19 +439,17 @@ func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
 			}
 			continue
 		}
-		if !sm.pol.CTAActive(w.CTASlot) || !sm.pol.WarpActive(i) {
-			continue
+		if sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(i) {
+			return i, 0
 		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		b := &sm.warps[best]
-		if w.Seq < b.Seq || (w.Seq == b.Seq && w.Idx < b.Idx) {
-			best = i
-		}
+		gated = true
 	}
-	return best, future
+	if gated {
+		sm.schedWake[sched] = cycle + 1
+	} else {
+		sm.schedWake[sched] = future
+	}
+	return -1, future
 }
 
 // execute issues the warp's next instruction.
@@ -471,6 +502,11 @@ func (sm *SM) advance(w *Warp, cycle int64) {
 		return
 	}
 	w.Alive = false
+	// Only alive warps sit in a scheduler's age list.
+	wi := warpIndex(sm, w)
+	s := wi % sm.cfg.GPU.NumSchedulers
+	j := slices.Index(sm.order[s], wi)
+	sm.order[s] = slices.Delete(sm.order[s], j, j+1)
 	if w.memPending == 0 {
 		sm.retireWarp(w, cycle)
 	}
@@ -602,9 +638,17 @@ func (sm *SM) finishLoad(w *Warp, cycle, latency int64) {
 	// are modelled through the MLP limit rather than a hard block, so the
 	// warp's readyAt is only pushed when it was already waiting at the
 	// limit (scoreboard full).
-	if w.memPending >= sm.cfg.GPU.MaxWarpMLP-1 {
+	mlp := sm.cfg.GPU.MaxWarpMLP
+	if w.memPending >= mlp-1 {
 		if t := cycle + latency; t > w.readyAt {
 			w.readyAt = t
+		}
+	}
+	// A warp dropping back under its MLP limit becomes eligible again: its
+	// scheduler's wake bound must not lie past its readyAt (see pickWarp).
+	if w.Alive && w.memPending == mlp-1 {
+		if s := warpIndex(sm, w) % sm.cfg.GPU.NumSchedulers; w.readyAt < sm.schedWake[s] {
+			sm.schedWake[s] = w.readyAt
 		}
 	}
 	if !w.Alive && w.memPending == 0 {
