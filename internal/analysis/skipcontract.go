@@ -5,11 +5,11 @@ import (
 	"go/types"
 )
 
-// SkipContract is the static guard of the cycle-skipping contract (DESIGN.md
-// §10, §11): every component that mutates simulated state on a per-cycle
-// basis must advertise its future events and reproduce its per-cycle writes
-// in closed form, or the event-driven run loop will skip over state changes
-// it was never told about.
+// SkipContract is the static guard of the sleeping contract (DESIGN.md §10,
+// §11): every component that mutates simulated state on a per-cycle basis
+// and may sleep must advertise its future events and reproduce its
+// per-cycle writes in closed form, or the event-driven engine will sleep
+// through state changes it was never told about.
 //
 // Two layers are enforced in the simulation-state packages, both over the
 // methods a type DECLARES itself (embedding-promoted methods deliberately do
@@ -19,10 +19,12 @@ import (
 //     must declare its own NextEvent AND SkipCycles. The dangerous case is a
 //     scheme embedding BasePolicy, overriding OnCycle with real window logic,
 //     and silently inheriting the base's permanently-quiescent NextEvent: the
-//     promoted methods make it compile, and the first skipping run jumps its
-//     window boundaries. A type that declares TickEach or DeliverEach is a
-//     ticked engine queue, so it must declare NextEvent (its contents decide
-//     when the engine may next sleep).
+//     promoted methods make it compile, and the first sleeping run jumps
+//     its window boundaries. A type that declares TickEach is a sleeping
+//     engine queue (the DRAM), so it must declare NextEvent: its contents
+//     decide when it may next sleep. DeliverEach queues (the interconnect
+//     links) are drained on every ticked cycle and never sleep, so they owe
+//     no advertisement.
 //   - Closure. When a type declares both members of a (per-cycle mutator,
 //     closed-form skip) pair, every receiver field the mutator writes —
 //     transitively through same-package calls — must also be written by the
@@ -105,12 +107,10 @@ func checkDeclared(pass *Pass, recv string, ms map[string]*ast.FuncDecl) {
 				recv)
 		}
 	}
-	for _, tick := range []string{"TickEach", "DeliverEach"} {
-		if fd, ok := ms[tick]; ok && !hasNext {
-			pass.Reportf(fd.Name.Pos(),
-				"%s declares %s but no NextEvent: a ticked queue must advertise when its contents next move",
-				recv, tick)
-		}
+	if fd, ok := ms["TickEach"]; ok && !hasNext {
+		pass.Reportf(fd.Name.Pos(),
+			"%s declares TickEach but no NextEvent: a ticked queue must advertise when its contents next move",
+			recv)
 	}
 }
 

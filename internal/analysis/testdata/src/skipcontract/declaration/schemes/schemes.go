@@ -50,8 +50,8 @@ func (a *accrualOnly) OnCycle(int64) { // want `accrualOnly declares OnCycle but
 
 func (a *accrualOnly) SkipCycles(from, to int64) { a.idle += to - from }
 
-// queue mimics the DRAM/interconnect ticked-queue shape without the
-// advertisement half of the protocol.
+// queue mimics the DRAM's ticked-queue shape without the advertisement
+// half of the protocol.
 type queue struct {
 	items []int64
 }
@@ -62,7 +62,8 @@ func (q *queue) TickEach(cycle int64, fn func(int64)) { // want `queue declares 
 	}
 }
 
-// link declares both halves: clean.
+// link mimics the interconnect: a DeliverEach queue drained on every
+// ticked cycle, which never sleeps and so owes no NextEvent: clean.
 type link struct {
 	q []int64
 }
@@ -71,13 +72,6 @@ func (l *link) DeliverEach(cycle int64, fn func(int64)) {
 	for _, it := range l.q {
 		fn(it)
 	}
-}
-
-func (l *link) NextEvent(now int64) (int64, bool) {
-	if len(l.q) == 0 {
-		return 0, false
-	}
-	return now, true
 }
 
 // full declares the whole protocol and closes every write: clean.

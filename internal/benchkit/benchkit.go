@@ -181,13 +181,10 @@ func MacroFig12PaperBench(strict bool) func(*testing.B) {
 }
 
 // SkipRatio runs one benchmark under one policy in skipping mode and
-// returns the fraction of SM-cycles the engine serviced through the
-// closed-form sleep/skip path instead of a full tick — the per-bench skip
-// ratio reported in the trajectory artifact. Per-SM sleeping and global
-// fast-forwards both count (sim.SleptSMCycles); on the paper machine the
-// DRAM is rarely globally idle, so per-SM sleeping carries nearly all of
-// it. The ratio is diagnostic only: results are bit-identical to strict
-// mode regardless of its value.
+// returns the fraction of SM-cycles the engine serviced through per-SM
+// sleeping instead of a full tick (sim.SleptSMCycles) — the per-bench skip
+// ratio reported in the trajectory artifact. The ratio is diagnostic only:
+// results are bit-identical to strict mode regardless of its value.
 func SkipRatio(cfg config.Config, bench string, pol sim.Policy, windows int) (float64, error) {
 	bm, ok := workload.ByName(bench)
 	if !ok {

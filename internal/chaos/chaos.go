@@ -85,36 +85,6 @@ func (in *Injector) Stage(g *sim.GPU, stage string, cycle int64) {
 	}
 }
 
-// NextEvent implements sim.NextEventer so the event-driven engine can skip
-// cycles without jumping over an exact (stage, cycle) fault point: every
-// armed, not-yet-fired fault advertises its trigger cycle, so that cycle is
-// always ticked and the fault fires exactly where a strict run fires it.
-// Once every fault has fired the injector is quiescent. Without this method
-// the engine would have to (and, for third-party injectors, does) fall back
-// to strict ticking.
-func (in *Injector) NextEvent(now int64) (int64, bool) {
-	c := &in.c
-	best, any := int64(0), false
-	merge := func(cyc int64) {
-		if cyc < now {
-			cyc = now
-		}
-		if !any || cyc < best {
-			best, any = cyc, true
-		}
-	}
-	if c.PanicCycle > 0 && !in.panicked {
-		merge(c.PanicCycle)
-	}
-	if c.StallDRAMCycle > 0 && !in.stalled {
-		merge(c.StallDRAMCycle)
-	}
-	if c.CorruptStatsCycle > 0 && !in.corrupted {
-		merge(c.CorruptStatsCycle)
-	}
-	return best, any
-}
-
 // ParseSpec parses the CLI chaos syntax into a config.Chaos. The spec is a
 // comma-separated list of directives:
 //

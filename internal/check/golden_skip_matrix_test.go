@@ -12,12 +12,13 @@ import (
 )
 
 // TestGoldenMetricsSkipMatrix is the bit-identity acceptance matrix of the
-// event-driven cycle-skipping engine (DESIGN.md §10): the full golden
-// capture — every Table 2 benchmark under {baseline, lb} — must equal the
-// committed snapshot in both run modes. The snapshot was recorded by a
-// strict engine, so any event advertised too late (a skipped cycle that
-// would have changed state) or any closed-form accrual that drifts from
-// per-cycle ticking shows up as an exact-integer diff against it.
+// event-driven engine's per-SM and DRAM sleeping (DESIGN.md §10): the full
+// golden capture — every Table 2 benchmark under {baseline, lb} — must
+// equal the committed snapshot in both run modes. The snapshot was
+// recorded by a strict engine, so any event advertised too late (a slept
+// cycle that would have changed state) or any closed-form accrual that
+// drifts from per-cycle ticking shows up as an exact-integer diff against
+// it.
 func TestGoldenMetricsSkipMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skip matrix runs all 20 benchmarks per run mode; skipped in -short")
@@ -43,7 +44,7 @@ func TestGoldenMetricsSkipMatrix(t *testing.T) {
 	}
 }
 
-// TestSkipStateDumpSampled drives a strict and a skipping machine for the
+// TestSkipStateDumpSampled drives a strict and a sleeping machine for the
 // same benchmark side by side, pausing both at sampled cycle points and
 // comparing full StateDump output. This is stronger than end-of-run Result
 // equality: the dumps expose in-flight machine state (warp counters, queue
@@ -98,8 +99,8 @@ func TestSkipStateDumpSampled(t *testing.T) {
 						break
 					}
 				}
-				if gk.SkippedCycles() == 0 {
-					t.Errorf("skipping run never skipped a cycle; the comparison exercised nothing")
+				if gk.SleptSMCycles() == 0 {
+					t.Errorf("sleeping run never slept an SM-cycle; the comparison exercised nothing")
 				}
 			})
 		}

@@ -71,10 +71,10 @@ func TestSkipFuzzStrictEquivalence(t *testing.T) {
 					t.Fatalf("strict=%v: %v", strict, err)
 				}
 				g.Run(cycles)
-				return g.Collect(), g.StateDump(), g.SkippedCycles()
+				return g.Collect(), g.StateDump(), g.SleptSMCycles()
 			}
 			rs, ds, _ := run(true)
-			rk, dk, skipped := run(false)
+			rk, dk, slept := run(false)
 			if !reflect.DeepEqual(rs, rk) {
 				t.Errorf("bench %s: Result diverged between strict and skipping:\nstrict:   %+v\nskipping: %+v",
 					bench, rs, rk)
@@ -83,7 +83,7 @@ func TestSkipFuzzStrictEquivalence(t *testing.T) {
 				t.Errorf("bench %s: StateDump diverged:\n--- strict ---\n%s\n--- skipping ---\n%s",
 					bench, ds, dk)
 			}
-			t.Logf("bench=%s policy=%s skipped=%d/%d cycles", bench, mk().Name(), skipped, cycles)
+			t.Logf("bench=%s policy=%s slept=%d/%d SM-cycles", bench, mk().Name(), slept, cycles*int64(cfg.GPU.NumSMs))
 		})
 	}
 }

@@ -186,9 +186,10 @@ type Config struct {
 	// is enabled (0 = every cycle). Larger intervals trade detection
 	// latency for speed; window-boundary checking uses LB.WindowCycles.
 	CheckEvery int
-	// Strict disables event-driven cycle skipping: the engine ticks every
-	// cycle, exactly as the pre-skip engine did. The default (false) lets
-	// RunCtx fast-forward over provably idle spans. Results are
+	// Strict disables per-SM and DRAM sleeping: every component ticks in
+	// every cycle, exactly as the pre-skip engine did. The default (false)
+	// lets an SM or the DRAM sleep through its provably idle cycles,
+	// applying their per-cycle accruals in closed form. Results are
 	// bit-identical in both modes — the field is deliberately excluded
 	// from the harness memo fingerprint, and a test matrix proves both
 	// properties (DESIGN.md §10).

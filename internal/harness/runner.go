@@ -177,11 +177,10 @@ func (r *Runner) cycles(cfg *config.Config) int64 {
 // are part of the fingerprint by construction: a faulted run can never
 // alias a clean cache or store entry.
 //
-// Strict is the one deliberate exclusion: it only chooses whether the run
-// loop ticks every cycle or fast-forwards over provably idle spans —
-// results are bit-identical in both run modes (test-enforced, DESIGN.md
-// §10) — so such runs share memo and store entries instead of
-// re-simulating.
+// Strict is the one deliberate exclusion: it only chooses whether every
+// component ticks in every cycle or idle SMs and the DRAM sleep — results
+// are bit-identical in both run modes (test-enforced, DESIGN.md §10) — so
+// such runs share memo and store entries instead of re-simulating.
 func cfgFingerprint(cfg *config.Config) string {
 	canon := *cfg
 	canon.Strict = false

@@ -9,15 +9,14 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/sim"
 )
 
-// TestWatchdogFiresUnderSkipping pins the interaction between the
-// forward-progress watchdog and the event-driven run loop: a chaos-stalled
-// DRAM livelocks the machine into a wedge the skipping engine fast-forwards
-// through checkpoint by checkpoint, and skipped spans publish no new
-// progress (committed instructions cannot change across a skip, by the
-// event contract). A naive implementation could have credited the rapidly
-// advancing cycle count as liveness; the watchdog must still see a flat
-// progress counter and abort the run.
-func TestWatchdogFiresUnderSkipping(t *testing.T) {
+// TestWatchdogFiresOnWedgedRun pins the forward-progress watchdog on a
+// wedged default-mode run: a chaos-stalled DRAM livelocks the machine, and
+// the run keeps ticking (a fault injector disables sleeping) with a flat
+// committed-instruction count. The rapidly advancing cycle count must not
+// pass for liveness: the watchdog has to see the flat progress counter and
+// abort the run. This is the -short suite's watchdog coverage;
+// TestAcceptanceWatchdogLivelockSweep skips in -short.
+func TestWatchdogFiresOnWedgedRun(t *testing.T) {
 	cfg := BenchConfig()
 	cfg.Strict = false
 	cfg.Chaos = config.Chaos{Enabled: true, Seed: 1, StallDRAMCycle: 1000}
@@ -28,17 +27,17 @@ func TestWatchdogFiresUnderSkipping(t *testing.T) {
 
 	_, err := r.Run(t.Context(), "S2", sim.Baseline{})
 	if err == nil {
-		t.Fatal("livelocked skipping run finished without error")
+		t.Fatal("livelocked run finished without error")
 	}
 	if !errors.Is(err, ErrWatchdog) {
-		t.Fatalf("livelocked skipping run aborted with %v, want ErrWatchdog", err)
+		t.Fatalf("livelocked run aborted with %v, want ErrWatchdog", err)
 	}
 	var re *RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("error %T does not chain a *RunError: %v", err, err)
 	}
 	if re.Cycle <= 1000 {
-		t.Errorf("watchdog aborted at cycle %d; expected the skipping loop to have advanced past the stall point", re.Cycle)
+		t.Errorf("watchdog aborted at cycle %d; expected the run to have ticked past the stall point", re.Cycle)
 	}
 }
 

@@ -81,22 +81,6 @@ func (l *Link) Deliver(cycle int64) []*memtypes.Request {
 // Pending returns the number of in-flight requests.
 func (l *Link) Pending() int { return len(l.q) }
 
-// NextEvent advertises the earliest cycle >= now at which the link can
-// deliver a request (the event-driven engine's component protocol; see
-// sim/event.go). An empty link is quiescent; otherwise the heap root is the
-// earliest arrival. Residual entries that were throttled by the per-cycle
-// delivery cap have ready cycles in the past and pin the event to now. The
-// link accrues nothing per cycle, so it needs no skip hook.
-func (l *Link) NextEvent(now int64) (int64, bool) {
-	if len(l.q) == 0 {
-		return 0, false
-	}
-	if r := l.q[0].ready; r > now {
-		return r, true
-	}
-	return now, true
-}
-
 // ForEach visits every in-flight request in unspecified order. Used by the
 // invariant checker to take a census of the memory system; fn must not
 // mutate the link.

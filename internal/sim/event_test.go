@@ -5,116 +5,188 @@ import (
 	"testing"
 
 	"github.com/linebacker-sim/linebacker/internal/config"
+	"github.com/linebacker-sim/linebacker/internal/dram"
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
-// eventBoundChecker is a CycleChecker that proves the event-lower-bound
-// half of the invisibility contract (DESIGN.md §10) from inside a strict
-// run: after every ticked cycle it fingerprints all engine state that is
-// NOT a per-cycle accrual, and whenever the machine advertises its next
-// event at cycle E it demands the fingerprint stay frozen until E. A
-// fingerprint change at any cycle < E means some component advertised its
-// event too late — the exact bug class that would make a skipping run
-// diverge from this strict one.
+// eventBoundChecker proves the event-lower-bound half of the sleeping
+// contract (DESIGN.md §10) from inside a strict run, per sleeper: each SM
+// against SM.NextEvent and the DRAM against dram.NextEvent. After every
+// tick of a sleeper it fingerprints the sleeper's state that is NOT a
+// per-cycle accrual, and while the sleeper's last advertisement E lies in
+// the future it demands the fingerprint stay frozen until E. A change at
+// any cycle < E means the component advertised its event too late — the
+// exact bug class that would make a sleeping run diverge from this strict
+// one.
+//
+// It is a FaultInjector, so its Stage hook observes each sleeper right
+// after the engine phase that ticks it: an SM at "l2" (its phase runs from
+// "sm" to "l2"), the DRAM at "response" (its tick runs from "dram" to
+// "response"). An injector only disables sleeping, and the run is strict
+// anyway. External inputs re-arm a sleeper's bound the way production
+// does: a CTA launch or response delivery resets the SM's wake cache,
+// which the checker sets to neverWake after each observation (strict runs
+// never read it), and an enqueue sets dramDirty. A state change that
+// bypassed those signals shows up as a violation.
 //
 // The exempt accruals (scheduler IssueIdle, L1 MSHRStalls, DRAM busy and
 // bandwidth-token state, policy byte-cycle integrals) are the quantities
-// skipTo applies in closed form; everything else must be event-driven.
+// sleepCycle, SMPolicy.SkipCycles and dram.Skip apply in closed form;
+// everything else must be event-driven.
 type eventBoundChecker struct {
-	fp      uint64
-	until   int64
-	started bool
-	checks  int64
-	spans   int64 // advertisements with until > now+1 (real skippable spans)
-	err     error
+	sms       []sleeperBound
+	dram      sleeperBound
+	checks    int64
+	smSpans   int64 // SM advertisements with until > now+1 (real sleepable spans)
+	dramSpans int64
+	err       error
 }
 
-func (c *eventBoundChecker) CheckCycle(g *GPU, cycle int64) error {
-	nfp := eventFingerprint(g)
-	if c.started && nfp != c.fp && cycle < c.until {
-		c.err = fmt.Errorf("engine state changed at cycle %d, but the machine advertised no event before cycle %d",
-			cycle, c.until)
-		return c.err
-	}
-	c.checks++
-	if !c.started || nfp != c.fp || cycle+1 >= c.until {
-		if e, ok := g.nextEventCycle(cycle + 1); ok {
-			c.until = e
-		} else {
-			c.until = neverWake
-		}
-		if c.until > cycle+2 {
-			c.spans++
-		}
-		c.fp = nfp
-		c.started = true
-	}
-	return nil
+// sleeperBound is one sleeper's fingerprint after its last tick and the
+// cycle before which that fingerprint must not change.
+type sleeperBound struct {
+	fp    uint64
+	until int64
 }
 
-// eventFingerprint digests every piece of engine state the event protocol
-// promises is frozen across an advertised idle span. Per-cycle accruals are
-// deliberately absent; cache structural state enters through StateHash,
-// which excludes them by construction.
-func eventFingerprint(g *GPU) uint64 {
+// observe checks one sleeper right after its tick at cycle cyc and re-arms
+// its bound from next when the state moved or the bound expired. span
+// reports an advertisement that covers more than one cycle; err, naming
+// the oracle, reports a state change before the advertised event.
+func (b *sleeperBound) observe(oracle string, fp uint64, cyc int64, next func(int64) (int64, bool)) (span bool, err error) {
+	if fp != b.fp && cyc < b.until {
+		adv := fmt.Sprintf("no event before cycle %d", b.until)
+		if b.until == neverWake {
+			adv = "no event at all"
+		}
+		return false, fmt.Errorf("changed state at cycle %d, but %s advertised %s", cyc, oracle, adv)
+	}
+	if fp != b.fp || cyc+1 >= b.until {
+		e, ok := next(cyc + 1)
+		if !ok {
+			e = neverWake
+		}
+		b.until = e
+		span = e > cyc+2
+	}
+	b.fp = fp
+	return span, nil
+}
+
+func (c *eventBoundChecker) Stage(g *GPU, stage string, cyc int64) {
+	if c.err != nil {
+		return
+	}
+	switch stage {
+	case "sm":
+		if c.sms == nil {
+			c.sms = make([]sleeperBound, len(g.sms))
+		}
+		for i, sm := range g.sms {
+			if sm.nextWake == 0 { // a response or CTA launch since the last tick
+				c.sms[i].until = cyc
+			}
+		}
+	case "l2":
+		c.checks++
+		for i, sm := range g.sms {
+			span, err := c.sms[i].observe("SM.NextEvent", smFingerprint(sm), cyc, sm.NextEvent)
+			if err != nil {
+				c.err = fmt.Errorf("SM %d %w", i, err)
+				return
+			}
+			if span {
+				c.smSpans++
+			}
+			sm.nextWake = neverWake
+		}
+	case "dram":
+		if g.dramDirty { // an enqueue in this cycle's l2 stage
+			c.dram.until = cyc
+		}
+	case "response":
+		span, err := c.dram.observe("dram.NextEvent", dramFingerprint(g.dram), cyc, g.dram.NextEvent)
+		if err != nil {
+			c.err = fmt.Errorf("DRAM %w", err)
+			return
+		}
+		if span {
+			c.dramSpans++
+		}
+	}
+}
+
+// fingerprint is an FNV-1a digest over int64 words.
+type fingerprint uint64
+
+func newFingerprint() fingerprint { return 14695981039346656037 }
+
+func (h *fingerprint) mix(v int64) {
 	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v int64) {
-		u := uint64(v)
-		for i := 0; i < 8; i++ {
-			h ^= u & 0xff
-			h *= prime64
-			u >>= 8
-		}
+	u := uint64(v)
+	for i := 0; i < 8; i++ {
+		*h ^= fingerprint(u & 0xff)
+		*h *= prime64
+		u >>= 8
 	}
-	mixb := func(b bool) {
-		if b {
-			mix(1)
-		} else {
-			mix(0)
-		}
+}
+
+func (h *fingerprint) mixb(b bool) {
+	if b {
+		h.mix(1)
+	} else {
+		h.mix(0)
 	}
-	mix(int64(g.nextCTA))
-	mix(int64(g.l2Queue.Len()))
-	mix(int64(g.toL2.Pending()))
-	mix(int64(g.fromL2.Pending()))
-	mix(int64(g.l2.StateHash()))
-	mix(int64(g.dram.QueueLen()))
-	mix(int64(g.dram.Inflight()))
-	ds := g.dram.Stats // BusyCycles is the DRAM's per-cycle accrual
+}
+
+// smFingerprint digests every piece of SM state the event protocol
+// promises is frozen while the SM sleeps. Per-cycle accruals and policy
+// state are deliberately absent (a policy's gate flip only matters once a
+// warp acts on it); L1 structural state enters through StateHash, which
+// excludes the accruals by construction.
+func smFingerprint(sm *SM) uint64 {
+	h := newFingerprint()
+	h.mix(sm.Stats.Retired)
+	h.mix(sm.Stats.StoreReqs)
+	h.mix(sm.Stats.CTALaunches)
+	h.mix(sm.Stats.CTADone)
+	for _, v := range sm.Stats.LoadReqs {
+		h.mix(v)
+	}
+	h.mix(int64(sm.lsu.Len()))
+	h.mix(int64(sm.outbox.Len()))
+	h.mix(int64(sm.freeSlots))
+	h.mix(int64(sm.l1.StateHash()))
+	for i := range sm.warps {
+		w := &sm.warps[i]
+		h.mixb(w.Alive)
+		h.mixb(w.retired)
+		h.mix(int64(w.iter))
+		h.mix(int64(w.pcIdx))
+		h.mix(w.readyAt)
+		h.mix(int64(w.memPending))
+	}
+	return uint64(h)
+}
+
+// dramFingerprint digests the DRAM's queues and event counters;
+// BusyCycles and the bandwidth tokens are its per-cycle accruals.
+func dramFingerprint(d *dram.DRAM) uint64 {
+	h := newFingerprint()
+	h.mix(int64(d.QueueLen()))
+	h.mix(int64(d.Inflight()))
+	ds := d.Stats
 	for _, v := range []int64{ds.Reads, ds.Writes, ds.BytesRead, ds.BytesWritten,
 		ds.RegBackupBytes, ds.RegRestoreBytes, ds.RowHits, ds.RowMisses} {
-		mix(v)
+		h.mix(v)
 	}
-	for _, sm := range g.sms {
-		mix(sm.Stats.Retired)
-		mix(sm.Stats.StoreReqs)
-		mix(sm.Stats.CTALaunches)
-		mix(sm.Stats.CTADone)
-		for _, v := range sm.Stats.LoadReqs {
-			mix(v)
-		}
-		mix(int64(sm.lsu.Len()))
-		mix(int64(sm.outbox.Len()))
-		mix(int64(sm.freeSlots))
-		mix(int64(sm.l1.StateHash()))
-		for i := range sm.warps {
-			w := &sm.warps[i]
-			mixb(w.Alive)
-			mixb(w.retired)
-			mix(int64(w.iter))
-			mix(int64(w.pcIdx))
-			mix(w.readyAt)
-			mix(int64(w.memPending))
-		}
-	}
-	return h
+	return uint64(h)
 }
 
 // pulsePolicy gates every CTA off during alternating windows of `period`
 // cycles and advertises the boundary through NextEvent — a minimal
-// policy-driven event source that forces the engine to merge policy events
-// into its global minimum. During an "off" phase the whole SM front-end is
+// policy-driven event source that forces the SM to merge policy events
+// into its wake bound. During an "off" phase the whole SM front-end is
 // idle, so any too-late advertisement from the policy merge path would
 // surface as a lower-bound violation.
 type pulsePolicy struct{ period int64 }
@@ -141,7 +213,7 @@ func (s *pulseState) NextEvent(now int64) (int64, bool) {
 }
 func (s *pulseState) SkipCycles(from, to int64) {
 	// on is a pure function of the last OnCycle's cycle; replay the final
-	// skipped cycle's decision so a skipping run lands in the same phase.
+	// slept cycle's decision so a sleeping run lands in the same phase.
 	if to > from {
 		s.on = ((to-1)/s.period)%2 == 0
 	}
@@ -154,15 +226,15 @@ func eventBoundCfg() config.Config {
 	cfg.GPU.DRAMChannels = 4
 	cfg.GPU.L2Bytes = 512 * 1024
 	cfg.LB.WindowCycles = 12500
-	cfg.Strict = true // tick every cycle so the checker sees each transition
+	cfg.Strict = true // never sleep, so the checker sees each transition
 	return cfg
 }
 
 // TestEventLowerBound runs strict simulations with the lower-bound checker
-// installed: every advertised event must be a true lower bound on the next
-// engine-state change. Covers a memory-bound benchmark under the stateless
-// baseline (warp readyAt / MSHR / DRAM events) and under a window-pulsed
-// gating policy (policy NextEvent merge path).
+// installed: every event an SM or the DRAM advertises must be a true lower
+// bound on its next state change. Covers a memory-bound benchmark under the
+// stateless baseline (warp readyAt / MSHR / DRAM events) and under a
+// window-pulsed gating policy (policy NextEvent merge path).
 func TestEventLowerBound(t *testing.T) {
 	benches := []string{"S2", "BC"}
 	if testing.Short() {
@@ -186,7 +258,7 @@ func TestEventLowerBound(t *testing.T) {
 					t.Fatal(err)
 				}
 				chk := &eventBoundChecker{}
-				g.SetChecker(chk)
+				g.SetFaultInjector(chk)
 				g.Run(60_000)
 				if chk.err != nil {
 					t.Fatalf("event lower bound violated: %v", chk.err)
@@ -194,10 +266,12 @@ func TestEventLowerBound(t *testing.T) {
 				if chk.checks == 0 {
 					t.Fatal("checker never ran")
 				}
-				if chk.spans == 0 {
-					t.Errorf("no advertisement ever exceeded now+1; the property was vacuous")
+				if chk.smSpans == 0 || chk.dramSpans == 0 {
+					t.Errorf("multi-cycle advertisements: %d SM, %d DRAM; a zero count leaves that sleeper's property vacuous",
+						chk.smSpans, chk.dramSpans)
 				}
-				t.Logf("checked %d cycles, %d multi-cycle advertisements", chk.checks, chk.spans)
+				t.Logf("checked %d cycles; multi-cycle advertisements: %d SM, %d DRAM",
+					chk.checks, chk.smSpans, chk.dramSpans)
 			})
 		}
 	}
@@ -205,7 +279,7 @@ func TestEventLowerBound(t *testing.T) {
 
 // TestPulsePolicySkipEquivalence cross-checks the pulse policy used above:
 // its own NextEvent/SkipCycles implementation must satisfy the invisibility
-// contract, which doubles as a second strict-vs-skip differential on a
+// contract, which doubles as a second strict-vs-sleeping differential on a
 // policy written independently of the shipped schemes.
 func TestPulsePolicySkipEquivalence(t *testing.T) {
 	b, ok := workload.ByName("S2")
@@ -220,14 +294,14 @@ func TestPulsePolicySkipEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.Run(60_000)
-		return g.StateDump(), g.SkippedCycles()
+		return g.StateDump(), g.SleptSMCycles()
 	}
 	ds, _ := run(true)
-	dk, skipped := run(false)
+	dk, slept := run(false)
 	if ds != dk {
-		t.Fatalf("pulse policy diverged between strict and skipping:\n--- strict ---\n%s\n--- skipping ---\n%s", ds, dk)
+		t.Fatalf("pulse policy diverged between strict and sleeping:\n--- strict ---\n%s\n--- sleeping ---\n%s", ds, dk)
 	}
-	if skipped == 0 {
-		t.Error("skipping run never skipped; differential was vacuous")
+	if slept == 0 {
+		t.Error("sleeping run never slept an SM-cycle; differential was vacuous")
 	}
 }

@@ -49,19 +49,14 @@ type GPU struct {
 	nextCTA int
 	cycle   int64
 
-	// skipped counts cycles the run loop fast-forwarded over instead of
-	// ticking (event.go). Diagnostic only: never part of Result/StateDump.
-	skipped int64
-
 	checker CycleChecker
 	faults  FaultInjector
 
-	// smSleep enables per-SM sleeping inside ticked cycles (see stepSM in
-	// event.go). RunCtx turns it on for event-driven runs with no fault
+	// smSleep enables per-SM and DRAM sleeping (see stepSM in event.go).
+	// RunCtx turns it on unless the run is strict or has a fault
 	// injector: an injector may mutate machine state (SM counters, the
-	// DRAM's stall flag) behind the SM and DRAM wake caches, so any
-	// injector forces full per-cycle ticking even when global skipping
-	// stays legal.
+	// DRAM's stall flag) behind the SM and DRAM wake caches, so a fault
+	// run ticks every SM and the DRAM in every cycle.
 	smSleep bool
 
 	// dramWake caches the DRAM's next event cycle, mirroring the per-SM
@@ -192,16 +187,12 @@ const checkpointCycles = 8192
 // and the machine is left in a consistent between-cycles state — Collect
 // and StateDump remain safe, but the run must not be resumed.
 //
-// Unless cfg.Strict is set, the loop is event-driven: when no component can
-// change state this cycle it fast-forwards to the earliest advertised event
-// (event.go), clamped to the next checkpoint so cancellation latency and
-// watchdog cadence stay bounded in simulated time. Skipped spans publish no
-// new progress — committed instructions cannot change across a skip — so a
-// livelocked machine still trips an external forward-progress watchdog.
-// Results and state dumps are bit-identical to strict mode (test-enforced,
-// DESIGN.md §10). A fault injector that does not implement NextEventer
-// forces strict ticking: the engine cannot know which cycles it must not
-// jump over.
+// The loop ticks every cycle. Unless cfg.Strict is set or a fault injector
+// is attached, SMs and the DRAM sleep through their provably idle cycles
+// (event.go); results and state dumps are bit-identical to strict mode
+// (test-enforced, DESIGN.md §10). A livelocked machine keeps ticking with
+// a flat committed-instruction count, so an external forward-progress
+// watchdog still trips.
 func (g *GPU) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
 	if maxCycles == 0 {
 		maxCycles = g.cfg.MaxCycles
@@ -210,16 +201,8 @@ func (g *GPU) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
 	if every <= 0 || every > checkpointCycles {
 		every = checkpointCycles
 	}
-	skipping := !g.cfg.Strict
-	if skipping && g.faults != nil {
-		_, skipping = g.faults.(NextEventer)
-	}
-	g.smSleep = skipping && g.faults == nil
+	g.smSleep = !g.cfg.Strict && g.faults == nil
 	g.progress.Store(g.committed())
-	// nextCheck is the first cycle count at or past which a checkpoint
-	// fires — the accumulator form of the strict engine's cycle%every == 0
-	// test, shared by both modes so checkpoint cycles coincide.
-	nextCheck := (g.cycle/every + 1) * every
 	for {
 		if maxCycles > 0 && g.cycle >= maxCycles {
 			g.progress.Store(g.committed())
@@ -229,29 +212,12 @@ func (g *GPU) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
 			g.progress.Store(g.committed())
 			return g.cycle, nil
 		}
-		if skipping {
-			target, ok := g.nextEventCycle(g.cycle)
-			if !ok || target > nextCheck {
-				// No event before the checkpoint (or none ever — a wedged
-				// machine): advance checkpoint-by-checkpoint so ctx and
-				// watchdogs keep observing the run.
-				target = nextCheck
-			}
-			if maxCycles > 0 && target > maxCycles {
-				target = maxCycles
-			}
-			if target > g.cycle {
-				g.skipTo(target)
-				continue
-			}
-		}
 		g.Step()
-		if g.cycle >= nextCheck {
+		if g.cycle%every == 0 {
 			g.progress.Store(g.committed())
 			if ctx.Err() != nil {
 				return g.cycle, fmt.Errorf("sim: run aborted at cycle %d: %w", g.cycle, context.Cause(ctx))
 			}
-			nextCheck += every
 		}
 	}
 }

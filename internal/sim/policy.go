@@ -85,17 +85,17 @@ type SMPolicy interface {
 	// can change simulated state on its own — typically its next window or
 	// ranking boundary. ok == false means the policy is quiescent: it will
 	// not change state until some engine hook (load outcome, CTA launch,
-	// register response, ...) fires. Returning now blocks cycle skipping.
+	// register response, ...) fires. Returning now keeps the SM awake.
 	// Advertising too early is always safe; advertising past a state change
 	// is an engine bug (property-tested). See DESIGN.md §10.
 	NextEvent(now int64) (int64, bool)
 
-	// SkipCycles informs the policy that the engine fast-forwarded from
-	// cycle `from` to cycle `to` without ticking: OnCycle was not called for
-	// cycles [from, to). Policies that integrate per-cycle quantities
-	// (occupancy, victim-capacity or unused-register byte-cycles) must apply
-	// the closed-form update for the span here, bit-identically to `to-from`
-	// repeated OnCycle calls.
+	// SkipCycles informs the policy that its SM slept from cycle `from` to
+	// cycle `to` without ticking: OnCycle was not called for cycles
+	// [from, to). The engine currently passes one-cycle spans. Policies that
+	// integrate per-cycle quantities (occupancy, victim-capacity or
+	// unused-register byte-cycles) must apply the closed-form update for the
+	// span here, bit-identically to `to-from` repeated OnCycle calls.
 	SkipCycles(from, to int64)
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/linebacker-sim/linebacker/internal/config"
@@ -27,25 +29,49 @@ func tinyKernel(iters, grid int) *workload.Kernel {
 		2, 4, iters, 4, 16, grid)
 }
 
+// TestRunToCompletion drains small grids in both run modes. A drain is
+// where the machine goes idle piece by piece, so besides the completion
+// and instruction counts the strict and sleeping runs must agree exactly,
+// Result and StateDump, and the sleeping run must actually have slept.
 func TestRunToCompletion(t *testing.T) {
-	cfg := testConfig()
-	k := tinyKernel(30, 8)
-	g, err := New(cfg, k, Baseline{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycles := g.Run(2_000_000)
-	r := g.Collect()
-	if r.CTACompleted != 8 {
-		t.Fatalf("completed %d/8 CTAs in %d cycles", r.CTACompleted, cycles)
-	}
-	// Every warp retires iters * body instructions.
-	wantInstr := int64(8) * 4 * 30 * int64(len(k.Body))
-	if r.Instructions != wantInstr {
-		t.Fatalf("instructions = %d, want %d", r.Instructions, wantInstr)
-	}
-	if r.IPC() <= 0 {
-		t.Fatal("IPC must be positive")
+	for _, grid := range []int{8, 40} {
+		t.Run(fmt.Sprintf("grid%d", grid), func(t *testing.T) {
+			k := tinyKernel(30, grid)
+			run := func(strict bool) (*Result, string, int64) {
+				cfg := testConfig()
+				cfg.Strict = strict
+				g, err := New(cfg, k, Baseline{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cycles := g.Run(2_000_000)
+				r := g.Collect()
+				if r.CTACompleted != int64(grid) {
+					t.Fatalf("strict=%v: completed %d/%d CTAs in %d cycles", strict, r.CTACompleted, grid, cycles)
+				}
+				// Every warp retires iters * body instructions.
+				wantInstr := int64(grid) * 4 * 30 * int64(len(k.Body))
+				if r.Instructions != wantInstr {
+					t.Fatalf("strict=%v: instructions = %d, want %d", strict, r.Instructions, wantInstr)
+				}
+				if r.IPC() <= 0 {
+					t.Fatal("IPC must be positive")
+				}
+				return r, g.StateDump(), g.SleptSMCycles()
+			}
+			rs, ds, _ := run(true)
+			rk, dk, slept := run(false)
+			if !reflect.DeepEqual(rs, rk) {
+				t.Errorf("Result diverged between strict and sleeping:\nstrict:   %+v\nsleeping: %+v", rs, rk)
+			}
+			if ds != dk {
+				t.Errorf("StateDump diverged:\n--- strict ---\n%s\n--- sleeping ---\n%s", ds, dk)
+			}
+			if slept == 0 {
+				t.Error("sleeping run never slept an SM-cycle; the comparison exercised nothing")
+			}
+			t.Logf("drained in %d cycles, %d slept SM-cycles", rk.Cycles, slept)
+		})
 	}
 }
 

@@ -108,7 +108,7 @@ type SM struct {
 
 	// nextWake caches this SM's next event cycle (see event.go): while the
 	// run clock is below it, stepSM replaces the tick with the closed-form
-	// accruals of skipCycles. Purely an engine shortcut — simulated state
+	// accruals of sleepCycle. Purely an engine shortcut — simulated state
 	// is bit-identical either way. Invalidated (set to 0) by the two
 	// external inputs an SM has: a response delivery (handleResponse) and
 	// a CTA launch (launchCTA). sleepStalled caches the head-of-line MSHR
@@ -118,10 +118,9 @@ type SM struct {
 	// scanWake is the merged future-ready minimum of issue()'s failed
 	// pickWarp calls — valid only for the cycle of an issue-less tick,
 	// where it hands stepSM the warp part of NextEvent for free.
-	// slept counts the cycles this SM's state advanced through the
-	// closed-form sleep/skip path instead of a full tick — per-SM sleeping
-	// and global fast-forwards both land here. Diagnostic only (the skip
-	// ratio of the benchmark trajectory); never part of Result/StateDump.
+	// slept counts the cycles this SM slept (sleepCycle) instead of
+	// ticking. Diagnostic only (the skip ratio of the benchmark
+	// trajectory); never part of Result/StateDump.
 	nextWake     int64
 	scanWake     int64
 	sleepStalled bool
