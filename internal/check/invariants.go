@@ -20,6 +20,7 @@ func EngineRules() []Rule {
 		{Name: "inflight-conservation", Check: checkInflight},
 		{Name: "l2-mshr", Check: checkL2MSHR},
 		{Name: "policy-invariants", Check: checkPolicies},
+		{Name: "issue-bound", Check: checkIssueBound},
 	}
 }
 
@@ -162,6 +163,19 @@ func checkPolicies(g *sim.GPU) error {
 		}
 		if err := sc.CheckInvariants(); err != nil {
 			return fmt.Errorf("SM%d: %w", g.SMs()[i].ID(), err)
+		}
+	}
+	return nil
+}
+
+// checkIssueBound verifies every scheduler's wake bound against the warps
+// its policy admits (sim.SM.CheckIssueBound): a policy that opens a gate
+// without calling SM.GateOpened leaves a bound past a ready warp, and the
+// SM would stop issuing from it until the bound passes.
+func checkIssueBound(g *sim.GPU) error {
+	for _, sm := range g.SMs() {
+		if err := sm.CheckIssueBound(g.Cycle() + 1); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -601,10 +601,13 @@ func (s *SMState) startRestore(cycle int64) {
 	s.pumpTransfer(s.trans, cycle)
 }
 
-// finishRestore resumes the CTA.
+// finishRestore resumes the CTA. Its warps may issue again, which the
+// SM's issue stage must hear of (the only slot state change that opens
+// CTAActive for live warps).
 func (s *SMState) finishRestore(t *transit, cycle int64) {
 	s.slotStates[t.slot] = slotRunning
 	s.ctaMgrAccesses++
+	s.sm.GateOpened()
 }
 
 // --- verification hooks (consumed by internal/check) ---

@@ -122,6 +122,16 @@ type DRAM struct {
 	queues [][]qent
 	heads  []int
 
+	// chWake[ch] is a cycle before which channel ch's window holds no
+	// ready bank: a window scan that finds none (with tokens to spare)
+	// records the window's earliest bank readyAt, and schedule answers
+	// false without scanning until then. It is exact because a channel's
+	// banks are written only by its own schedule and its window changes
+	// only by an Enqueue (which resets the bound to 0) or by its own
+	// dequeue. An engine cache, not simulated state: Skip and the state
+	// fingerprints ignore it.
+	chWake []int64
+
 	bytesPerCycle float64
 	tokens        float64
 	maxTokens     float64
@@ -149,6 +159,7 @@ func New(g *config.GPU) *DRAM {
 		banks:         make([]bank, g.DRAMChannels*g.DRAMBanksPerChan),
 		queues:        make([][]qent, g.DRAMChannels),
 		heads:         make([]int, g.DRAMChannels),
+		chWake:        make([]int64, g.DRAMChannels),
 		bytesPerCycle: g.BytesPerCycle(),
 	}
 	d.maxTokens = d.bytesPerCycle * 4 // small burst window
@@ -173,6 +184,7 @@ func (d *DRAM) bankOf(l memtypes.LineAddr) (ch, bk int, row int64) {
 func (d *DRAM) Enqueue(req *memtypes.Request) {
 	ch, bk, row := d.bankOf(req.Line)
 	d.queues[ch] = append(d.queues[ch], qent{req: req, bank: ch*d.perChan + bk, row: row})
+	d.chWake[ch] = 0
 }
 
 // waiting returns channel ch's live FIFO (oldest first).
@@ -382,10 +394,15 @@ func (d *DRAM) Tick(cycle int64) []*memtypes.Request {
 // issued one. It mutates queue, bank and heap state only when it issues,
 // and NextEvent advertises the first cycle any channel can issue — across
 // a skipped span every schedule call would have returned false having
-// written nothing, so Skip owes none of these writes.
+// written nothing, so Skip owes none of these writes. The one other write,
+// the channel's chWake bound after a scan that finds no ready bank, is an
+// engine cache whose answers equal the scan's (see chWake).
 //
 //lbvet:eventbound
 func (d *DRAM) schedule(ch int, cycle int64) bool {
+	if cycle < d.chWake[ch] {
+		return false
+	}
 	q := d.waiting(ch)
 	if len(q) == 0 || d.tokens < memtypes.LineSize {
 		return false
@@ -408,16 +425,21 @@ func (d *DRAM) schedule(ch int, cycle int64) bool {
 		}
 	}
 	if pick < 0 {
-		// Second pass: oldest request on a ready bank.
+		// Second pass: oldest request on a ready bank; failing that, the
+		// earliest cycle one of the window's banks is ready.
+		wake := d.banks[q[0].bank].readyAt
 		for i := range q[:window] {
-			if d.banks[q[i].bank].readyAt <= cycle {
+			r := d.banks[q[i].bank].readyAt
+			if r <= cycle {
 				pick = i
 				break
 			}
+			wake = min(wake, r)
 		}
-	}
-	if pick < 0 {
-		return false
+		if pick < 0 {
+			d.chWake[ch] = wake
+			return false
+		}
 	}
 	req, row := q[pick].req, q[pick].row
 	b := &d.banks[q[pick].bank]

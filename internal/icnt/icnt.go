@@ -4,7 +4,10 @@
 package icnt
 
 import (
+	"math"
+
 	"github.com/linebacker-sim/linebacker/internal/memtypes"
+	"github.com/linebacker-sim/linebacker/internal/ring"
 )
 
 type entry struct {
@@ -15,7 +18,7 @@ type entry struct {
 
 // less orders entries by readiness cycle, then injection order. seq is
 // unique per link, so the order is total and delivery is deterministic no
-// matter how the heap happens to be shaped.
+// matter how the entries happen to be stored.
 func (e entry) less(o entry) bool {
 	if e.ready != o.ready {
 		return e.ready < o.ready
@@ -25,14 +28,19 @@ func (e entry) less(o entry) bool {
 
 // Link is a unidirectional, fixed-latency, bounded-throughput pipe.
 //
-// The in-flight set is a hand-rolled binary min-heap over a plain []entry.
-// container/heap would box every entry into an interface on Push — one heap
-// allocation per traversing request — where this version reuses the backing
-// array forever: steady-state Send/Deliver is allocation-free.
+// The in-flight set is a few FIFO lanes, each sorted by (ready, seq), so
+// the next delivery is the least of the lane heads. Send appends best-fit:
+// to the lane whose tail is the latest one not after the new entry, and
+// opens a lane only when none fits. This is patience sorting, so the lane
+// count never exceeds the number of monotone streams the sender
+// interleaves: one for a link every send of which is cycle+latency, two
+// when a second stream is sent ahead of the first (L2 hits and DRAM
+// completions on the response link). The lanes are ring buffers that keep
+// their backing arrays, so steady-state Send/Deliver is allocation-free.
 type Link struct {
 	latency  int64
 	perCycle int
-	q        []entry
+	lanes    []ring.Buffer[entry]
 	seq      int64
 
 	// Sent counts requests accepted; Delivered counts requests handed out.
@@ -52,8 +60,25 @@ func New(latency int64, perCycle int) *Link {
 // Send injects a request at the given cycle.
 func (l *Link) Send(req *memtypes.Request, cycle int64) {
 	l.seq++
-	l.q = append(l.q, entry{req: req, ready: cycle + l.latency, seq: l.seq})
-	l.up(len(l.q) - 1)
+	e := entry{req: req, ready: cycle + l.latency, seq: l.seq}
+	// Best fit: the lane with the latest tail at or before e (seq grows,
+	// so e sorts after an equal-ready tail). An empty lane fits anything
+	// and is the worst fit; a new lane opens only when no lane fits.
+	fit, fitTail := -1, int64(math.MinInt64)
+	for i := range l.lanes {
+		tail := int64(math.MinInt64)
+		if ln := &l.lanes[i]; ln.Len() > 0 {
+			tail = ln.At(ln.Len() - 1).ready
+		}
+		if tail <= e.ready && (fit < 0 || tail > fitTail) {
+			fit, fitTail = i, tail
+		}
+	}
+	if fit < 0 {
+		l.lanes = append(l.lanes, ring.Buffer[entry]{})
+		fit = len(l.lanes) - 1
+	}
+	l.lanes[fit].Push(e)
 	l.Sent++
 }
 
@@ -61,9 +86,17 @@ func (l *Link) Send(req *memtypes.Request, cycle int64) {
 // by the given cycle to fn, in FIFO order of readiness. This is the
 // engine-facing path: it allocates nothing.
 func (l *Link) DeliverEach(cycle int64, fn func(*memtypes.Request)) {
-	for n := 0; n < l.perCycle && len(l.q) > 0 && l.q[0].ready <= cycle; n++ {
-		req := l.q[0].req
-		l.popRoot()
+	for n := 0; n < l.perCycle; n++ {
+		first := -1
+		for i := range l.lanes {
+			if l.lanes[i].Len() > 0 && (first < 0 || l.lanes[i].Front().less(l.lanes[first].Front())) {
+				first = i
+			}
+		}
+		if first < 0 || l.lanes[first].Front().ready > cycle {
+			return
+		}
+		req := l.lanes[first].Pop().req
 		l.Delivered++
 		fn(req)
 	}
@@ -79,54 +112,22 @@ func (l *Link) Deliver(cycle int64) []*memtypes.Request {
 }
 
 // Pending returns the number of in-flight requests.
-func (l *Link) Pending() int { return len(l.q) }
+func (l *Link) Pending() int {
+	n := 0
+	for i := range l.lanes {
+		n += l.lanes[i].Len()
+	}
+	return n
+}
 
 // ForEach visits every in-flight request in unspecified order. Used by the
 // invariant checker to take a census of the memory system; fn must not
 // mutate the link.
 func (l *Link) ForEach(fn func(*memtypes.Request)) {
-	for i := range l.q {
-		fn(l.q[i].req)
-	}
-}
-
-// up restores the heap property from leaf i towards the root.
-func (l *Link) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !l.q[i].less(l.q[parent]) {
-			return
+	for i := range l.lanes {
+		ln := &l.lanes[i]
+		for j := 0; j < ln.Len(); j++ {
+			fn(ln.At(j).req)
 		}
-		l.q[i], l.q[parent] = l.q[parent], l.q[i]
-		i = parent
-	}
-}
-
-// popRoot removes the minimum entry, shrinking the backing array in place.
-func (l *Link) popRoot() {
-	n := len(l.q) - 1
-	l.q[0] = l.q[n]
-	l.q[n] = entry{} // drop the request pointer
-	l.q = l.q[:n]
-	l.down(0)
-}
-
-// down restores the heap property from the root towards the leaves.
-func (l *Link) down(i int) {
-	n := len(l.q)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && l.q[right].less(l.q[left]) {
-			least = right
-		}
-		if !l.q[least].less(l.q[i]) {
-			return
-		}
-		l.q[i], l.q[least] = l.q[least], l.q[i]
-		i = least
 	}
 }

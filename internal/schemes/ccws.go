@@ -185,7 +185,8 @@ func (s *ccwsState) SkipCycles(from, to int64) {
 }
 
 // rank descedules the lowest-scoring warps in proportion to the aggregate
-// lost-locality score. It runs only at ranking boundaries, which NextEvent
+// lost-locality score, and tells the SM's issue stage when it re-admits a
+// descheduled warp. It runs only at ranking boundaries, which NextEvent
 // advertises — a skipped span never crosses one, so SkipCycles owes none
 // of these writes.
 //
@@ -212,8 +213,13 @@ func (s *ccwsState) rank(cycle int64) {
 	sort.Slice(idx, func(a, b int) bool {
 		return s.warps[idx[a]].score < s.warps[idx[b]].score
 	})
+	opened := false
 	for i, w := range idx {
+		opened = opened || (!s.active[w] && i >= desched)
 		s.active[w] = i >= desched
+	}
+	if opened {
+		s.sm.GateOpened()
 	}
 }
 

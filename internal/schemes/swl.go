@@ -48,8 +48,11 @@ type swlState struct {
 
 // rebuild recomputes every slot's permission: the `limit` oldest resident
 // CTAs (ranked by launch sequence) may run; empty slots stay permissive so
-// a freshly launched CTA is judged by its own rank.
+// a freshly launched CTA is judged by its own rank. Admitting a throttled
+// resident CTA opens a gate the SM's issue stage must hear of; an empty
+// slot has no live warps to admit.
 func (s *swlState) rebuild() {
+	opened := false
 	for slot := range s.active {
 		info := s.sm.CTA(slot)
 		if !info.Resident {
@@ -63,7 +66,11 @@ func (s *swlState) rebuild() {
 				rank++
 			}
 		}
+		opened = opened || (!s.active[slot] && rank < s.limit)
 		s.active[slot] = rank < s.limit
+	}
+	if opened {
+		s.sm.GateOpened()
 	}
 }
 

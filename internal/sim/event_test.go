@@ -191,18 +191,25 @@ func dramFingerprint(d *dram.DRAM) uint64 {
 // surface as a lower-bound violation.
 type pulsePolicy struct{ period int64 }
 
-func (p pulsePolicy) Name() string           { return "pulse" }
-func (p pulsePolicy) Attach(sm *SM) SMPolicy { return &pulseState{period: p.period} }
+func (p pulsePolicy) Name() string { return "pulse" }
+func (p pulsePolicy) Attach(sm *SM) SMPolicy {
+	return &pulseState{sm: sm, period: p.period}
+}
 
 type pulseState struct {
 	BasePolicy
+	sm     *SM
 	period int64
 	on     bool
 }
 
 func (s *pulseState) CTAActive(int) bool { return s.on }
 func (s *pulseState) OnCycle(cycle int64) {
+	was := s.on
 	s.on = (cycle/s.period)%2 == 0
+	if s.on && !was {
+		s.sm.GateOpened()
+	}
 }
 func (s *pulseState) NextEvent(now int64) (int64, bool) {
 	// The phase flips during OnCycle of every multiple of period, so the

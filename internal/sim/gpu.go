@@ -155,6 +155,9 @@ func (g *GPU) DRAM() *dram.DRAM { return g.dram }
 // L2 exposes the shared cache.
 func (g *GPU) L2() *cache.Cache { return g.l2 }
 
+// Links exposes the SM→L2 and L2→SM interconnect links (for tests).
+func (g *GPU) Links() (toL2, fromL2 *icnt.Link) { return g.toL2, g.fromL2 }
+
 // Cycle returns the current cycle.
 func (g *GPU) Cycle() int64 { return g.cycle }
 

@@ -1,247 +1,112 @@
-package sim
+package sim_test
 
 import (
-	"cmp"
-	"fmt"
-	"slices"
 	"testing"
 
-	"github.com/linebacker-sim/linebacker/internal/memtypes"
+	"github.com/linebacker-sim/linebacker/internal/core"
+	"github.com/linebacker-sim/linebacker/internal/schemes"
+	"github.com/linebacker-sim/linebacker/internal/sim"
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
-
-// refPickWarp is the stateless full scan that pickWarp's age lists and wake
-// bound replaced: greedy first, then the oldest ready, gate-admitted warp
-// of the whole strided partition, and the earliest future readyAt. It is
-// the oracle pickWarp must match pick for pick and, when nothing is
-// picked, future for future.
-func refPickWarp(sm *SM, sched int, cycle int64) (int, int64) {
-	ns := sm.cfg.GPU.NumSchedulers
-	mlp := sm.cfg.GPU.MaxWarpMLP
-	if last := sm.lastIssued[sched]; last >= 0 {
-		w := &sm.warps[last]
-		if w.ready(cycle, mlp) && sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(last) {
-			return last, 0
-		}
-	}
-	best := -1
-	future := neverWake
-	for i := sched; i < len(sm.warps); i += ns {
-		w := &sm.warps[i]
-		if !w.Alive || w.memPending >= mlp {
-			continue
-		}
-		if w.readyAt > cycle {
-			if w.readyAt < future {
-				future = w.readyAt
-			}
-			continue
-		}
-		if !sm.pol.CTAActive(w.CTASlot) || !sm.pol.WarpActive(i) {
-			continue
-		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		b := &sm.warps[best]
-		if w.Seq < b.Seq || (w.Seq == b.Seq && w.Idx < b.Idx) {
-			best = i
-		}
-	}
-	return best, future
-}
-
-// flipPolicy flips issue gates from a seeded generator: every load outcome
-// toggles one warp's gate, and every period cycles OnCycle redraws every
-// CTA and warp gate, each open with probability 3/4. It advertises those
-// boundaries through NextEvent. Its gates change in both kinds of hook the
-// issue stage cannot see coming, which is why pickWarp never trusts its
-// wake bound past a gated-off ready warp.
-type flipPolicy struct {
-	seed   uint64
-	period int64
-}
-
-func (p flipPolicy) Name() string { return "flip" }
-func (p flipPolicy) Attach(sm *SM) SMPolicy {
-	s := &flipState{
-		period: p.period,
-		rng:    p.seed*0x9E3779B97F4A7C15 + uint64(sm.ID()) + 1,
-		cta:    make([]bool, sm.MaxResident()),
-		warp:   make([]bool, sm.MaxResident()*sm.Kernel().WarpsPerCTA),
-	}
-	s.OnCycle(0)
-	return s
-}
-
-type flipState struct {
-	BasePolicy
-	period    int64
-	rng       uint64
-	cta, warp []bool
-}
-
-// next steps a xorshift64 generator.
-func (s *flipState) next() uint64 {
-	s.rng ^= s.rng << 13
-	s.rng ^= s.rng >> 7
-	s.rng ^= s.rng << 17
-	return s.rng
-}
-
-func (s *flipState) CTAActive(slot int) bool      { return s.cta[slot] }
-func (s *flipState) WarpActive(warpSlot int) bool { return s.warp[warpSlot] }
-func (s *flipState) OnLoadOutcome(int, uint32, memtypes.LineAddr, Outcome, int64) {
-	w := s.next() % uint64(len(s.warp))
-	s.warp[w] = !s.warp[w]
-}
-func (s *flipState) OnCycle(cycle int64) {
-	if cycle%s.period != 0 {
-		return
-	}
-	for i := range s.cta {
-		s.cta[i] = s.next()%4 != 0
-	}
-	for i := range s.warp {
-		s.warp[i] = s.next()%4 != 0
-	}
-}
-func (s *flipState) NextEvent(now int64) (int64, bool) {
-	return (now + s.period - 1) / s.period * s.period, true
-}
-
-// pickWarpTally counts the situations that make TestPickWarpMatchesFullScan
-// non-vacuous.
-type pickWarpTally struct {
-	fast     int // calls answered from the wake bound
-	gated    int // failed calls with a ready warp gated off
-	inverted int // cycles where an older CTA sat in a higher slot than a younger one
-}
-
-// checkPickWarp compares pickWarp with refPickWarp on every scheduler of
-// the SM at the GPU's current cycle, and checks every age list. The wake
-// bound is restored after each probe, so the probe leaves the run exactly
-// as it found it (gate calls are pure reads).
-func checkPickWarp(sm *SM, cycle int64, tally *pickWarpTally) error {
-	ns := sm.cfg.GPU.NumSchedulers
-	mlp := sm.cfg.GPU.MaxWarpMLP
-	for s := 0; s < ns; s++ {
-		var alive []int
-		for i := s; i < len(sm.warps); i += ns {
-			if sm.warps[i].Alive {
-				alive = append(alive, i)
-			}
-		}
-		slices.SortFunc(alive, func(a, b int) int {
-			wa, wb := &sm.warps[a], &sm.warps[b]
-			if c := cmp.Compare(wa.Seq, wb.Seq); c != 0 {
-				return c
-			}
-			return cmp.Compare(wa.Idx, wb.Idx)
-		})
-		if !slices.Equal(sm.order[s], alive) {
-			return fmt.Errorf("SM%d sched %d cycle %d: age list %v, want alive warps by (seq, idx) %v",
-				sm.id, s, cycle, sm.order[s], alive)
-		}
-
-		wake := sm.schedWake[s]
-		if cycle < wake {
-			tally.fast++
-		}
-		want, wantFuture := refPickWarp(sm, s, cycle)
-		got, gotFuture := sm.pickWarp(s, cycle)
-		sm.schedWake[s] = wake
-		if got != want {
-			return fmt.Errorf("SM%d sched %d cycle %d: picked warp %d, full scan picks %d (wake bound %d)",
-				sm.id, s, cycle, got, want, wake)
-		}
-		if got >= 0 {
-			continue
-		}
-		if gotFuture != wantFuture {
-			return fmt.Errorf("SM%d sched %d cycle %d: no pick, future %d, full scan says %d (wake bound %d)",
-				sm.id, s, cycle, gotFuture, wantFuture, wake)
-		}
-		for i := s; i < len(sm.warps); i += ns {
-			if w := &sm.warps[i]; w.ready(cycle, mlp) {
-				tally.gated++
-				break
-			}
-		}
-	}
-	for a := range sm.ctas {
-		for b := a + 1; b < len(sm.ctas); b++ {
-			if sm.ctas[a].Resident && sm.ctas[b].Resident && sm.ctas[a].Seq > sm.ctas[b].Seq {
-				tally.inverted++
-				return nil
-			}
-		}
-	}
-	return nil
-}
 
 // TestPickWarpMatchesFullScan runs strict simulations and, before every
 // Step, checks pickWarp against the full-scan oracle on every SM and
 // scheduler, and every age list against the alive warps sorted by (seq,
-// idx). The kernels cover a compute-bound and an MLP-saturating memory
-// mix; the policies cover no gates, static gates, gates flipped at
-// advertised OnCycle boundaries, and gates flipped in OnLoadOutcome. Both
-// grids are larger than the SMs' residency, so slots are reused and an
-// older CTA ends up in a higher slot than a younger one.
+// idx).
+//
+// The test policies run on a compute-bound and an MLP-saturating memory
+// mix, both grids larger than the SMs' residency, so slots are reused and
+// an older CTA ends up in a higher slot than a younger one. The production
+// gating schemes each open gates in their own hook, which must call
+// SM.GateOpened: SWL below residency on grids that drain, so a CTA
+// completion admits a throttled CTA with no launch to re-arm the wake
+// bound; CCWS re-admitting warps at its ranking boundaries on S2; and
+// Linebacker on S2 and BI with windows short enough that a throttled CTA
+// is restored. Every gating policy must see calls answered from the wake
+// bound while a ready warp was gated off.
 func TestPickWarpMatchesFullScan(t *testing.T) {
-	kernels := []*workload.Kernel{
+	compute := func(grid int) *workload.Kernel {
 		// The load is predicated off, so the body is four 24-cycle computes.
-		workload.NewKernel("compute",
+		return workload.NewKernel("compute",
 			[]workload.LoadSpec{{Pattern: workload.Streaming, Scope: workload.PerWarp, Coalesced: 1, Every: 1 << 20}},
-			nil, 4, 24, 40, 4, 16, 48),
-		workload.NewKernel("memory",
+			nil, 4, 24, 40, 4, 16, grid)
+	}
+	memory := func(grid int) *workload.Kernel {
+		return workload.NewKernel("memory",
 			[]workload.LoadSpec{
 				{Pattern: workload.Streaming, Scope: workload.PerWarp, Coalesced: 2},
 				{Pattern: workload.Tiled, Scope: workload.PerSM, WorkingSetBytes: 8 * 1024, Coalesced: 1, Phase: 1},
 			},
-			nil, 1, 2, 30, 4, 16, 48),
+			nil, 1, 2, 30, 4, 16, grid)
 	}
-	pols := []Policy{
-		Baseline{},
-		throttleScheme{},
-		pulsePolicy{period: 700},
-		flipPolicy{seed: 1, period: 500},
-		flipPolicy{seed: 2, period: 900},
+	bench := func(name string) *workload.Kernel {
+		b, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("workload %s not found", name)
+		}
+		return b.Kernel
 	}
-	var total pickWarpTally
-	for _, k := range kernels {
-		for _, pol := range pols {
-			cfg := testConfig()
-			cfg.Strict = true
-			g, err := New(cfg, k, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var tally pickWarpTally
-			const maxSteps = 40_000
-			for n := 0; n < maxSteps && !g.done(); n++ {
-				for _, sm := range g.sms {
-					if err := checkPickWarp(sm, g.cycle, &tally); err != nil {
-						t.Fatalf("%s/%s: %v", k.Name, pol.Name(), err)
-					}
-				}
-				g.Step()
-			}
-			t.Logf("%s/%s: %d cycles, %d bound answers, %d gated failures, %d inverted cycles",
-				k.Name, pol.Name(), g.cycle, tally.fast, tally.gated, tally.inverted)
-			total.fast += tally.fast
-			total.gated += tally.gated
-			total.inverted += tally.inverted
+	type point struct {
+		k      *workload.Kernel
+		pol    sim.Policy
+		window int // monitoring window in cycles; 0 keeps the config's
+	}
+	var points []point
+	for _, k := range []*workload.Kernel{compute(48), memory(48)} {
+		for _, pol := range sim.GateTestPolicies() {
+			points = append(points, point{k: k, pol: pol})
 		}
 	}
-	if total.inverted == 0 {
+	// A grid of 16 is resident at once on the two SMs and then drains.
+	points = append(points,
+		point{k: compute(16), pol: schemes.SWL{Limit: 2}},
+		point{k: memory(16), pol: schemes.SWL{Limit: 2}},
+		point{k: bench("S2"), pol: schemes.CCWS{}},
+		point{k: bench("S2"), pol: core.New(), window: 500},
+		point{k: bench("BI"), pol: core.New(), window: 1000},
+	)
+
+	var total sim.PickWarpTally
+	for _, p := range points {
+		cfg := sim.SmallConfig()
+		cfg.Strict = true
+		if p.window > 0 {
+			cfg.LB.WindowCycles = p.window
+		}
+		g, err := sim.New(cfg, p.k, p.pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tally sim.PickWarpTally
+		const maxSteps = 40_000
+		for n := 0; n < maxSteps && !g.Done(); n++ {
+			for _, sm := range g.SMs() {
+				if err := sim.CheckPickWarp(sm, g.Cycle(), &tally); err != nil {
+					t.Fatalf("%s/%s: %v", p.k.Name, p.pol.Name(), err)
+				}
+			}
+			g.Step()
+		}
+		extra := g.Collect().Extra
+		t.Logf("%s/%s: %d cycles, %d bound answers (%d with a ready warp gated off), %d gated failures, %d inverted cycles, %g reactivations",
+			p.k.Name, p.pol.Name(), g.Cycle(), tally.Fast, tally.GatedFast, tally.Gated, tally.Inverted, extra["lb_reactivations"])
+		if _, ungated := p.pol.(sim.Baseline); !ungated && tally.GatedFast == 0 {
+			t.Errorf("%s/%s: the wake bound never answered while a ready warp was gated off", p.k.Name, p.pol.Name())
+		}
+		if _, lb := p.pol.(*core.Policy); lb && extra["lb_reactivations"] == 0 {
+			t.Errorf("%s/%s: no throttled CTA was restored, so finishRestore's gate signal went untested", p.k.Name, p.pol.Name())
+		}
+		total.Fast += tally.Fast
+		total.Gated += tally.Gated
+		total.Inverted += tally.Inverted
+	}
+	if total.Inverted == 0 {
 		t.Error("no older CTA ever sat in a higher slot than a younger one; slot order and age order never differed")
 	}
-	if total.fast == 0 {
+	if total.Fast == 0 {
 		t.Error("the wake bound never answered a call")
 	}
-	if total.gated == 0 {
+	if total.Gated == 0 {
 		t.Error("no failed call ever had a ready warp gated off")
 	}
 }

@@ -26,11 +26,18 @@ type Policy interface {
 type SMPolicy interface {
 	// CTAActive reports whether the CTA in the given slot may issue
 	// instructions this cycle (false = throttled).
+	//
+	// Gates (CTAActive and WarpActive) are pure functions of policy state.
+	// The issue stage keeps each scheduler's wake bound past a gated-off
+	// ready warp, so a hook that may turn an answer from false to true
+	// must call SM.GateOpened on its SM. Closing a gate needs no call: it
+	// only delays picks. See DESIGN.md §10.
 	CTAActive(slot int) bool
 
 	// WarpActive reports whether the individual warp slot may issue this
 	// cycle. CCWS-style schemes throttle at warp rather than CTA
-	// granularity through this hook.
+	// granularity through this hook. The GateOpened contract of CTAActive
+	// applies.
 	WarpActive(warpSlot int) bool
 
 	// AllowNewCTA gates the dispatcher: return false to keep a freed CTA

@@ -404,13 +404,14 @@ func (sm *SM) issue(cycle int64) bool {
 // Two pieces of per-scheduler state keep the common cases short. The age
 // list sm.order[sched] makes the first eligible warp of the scan the
 // oldest one. The wake bound sm.schedWake[sched] answers the failed case
-// in O(1): it never exceeds the readyAt of an alive, under-MLP warp of
-// the scheduler, so below it no warp is ready. A failed scan sets it to
-// the exact future; an eligible warp's readyAt moves only when it issues,
-// and only launchCTA and finishLoad can make a warp eligible, each
-// lowering the bound, so the bound returned below equals what a scan
-// would return. Gates are outside the bound: a ready warp a gate turned
-// away sets it to cycle+1, because any policy hook may flip the gate.
+// in O(1): it never exceeds the readyAt of an alive, under-MLP,
+// gate-admitted warp of the scheduler, so below it no warp can be picked.
+// A failed scan sets it to the exact future; an eligible warp's readyAt
+// moves only when it issues, and only launchCTA, finishLoad and an opened
+// gate can make a warp eligible, each lowering the bound (GateOpened), so
+// the bound returned below equals what a scan would return. A closed gate
+// needs no signal: it only delays picks, and the future it returns ignores
+// gates.
 func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
 	if wake := sm.schedWake[sched]; cycle < wake {
 		return -1, wake
@@ -426,7 +427,6 @@ func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
 	// Oldest: the first ready warp in age order whose gates pass. Gates are
 	// consulted only for warps ready this cycle.
 	future := neverWake
-	gated := false
 	for _, i := range sm.order[sched] {
 		w := &sm.warps[i]
 		if w.memPending >= mlp {
@@ -441,14 +441,44 @@ func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
 		if sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(i) {
 			return i, 0
 		}
-		gated = true
 	}
-	if gated {
-		sm.schedWake[sched] = cycle + 1
-	} else {
-		sm.schedWake[sched] = future
-	}
+	sm.schedWake[sched] = future
 	return -1, future
+}
+
+// GateOpened tells the issue stage that a CTAActive or WarpActive answer of
+// this SM's policy may have turned from false to true, so every scheduler
+// rescans at its next call instead of trusting its wake bound (see
+// pickWarp). Policies call it from the hook that opens the gate.
+func (sm *SM) GateOpened() {
+	for s := range sm.schedWake {
+		sm.schedWake[s] = 0
+	}
+}
+
+// CheckIssueBound verifies the wake bound's invariant ahead of the given
+// cycle: a scheduler whose bound lies past next would answer that cycle's
+// call without a scan, so none of its alive, under-MLP warps the policy
+// admits may have a readyAt below the bound. A policy that opens a gate
+// without calling GateOpened trips it once a warp it admitted sits below
+// such a bound. Read-only; for the invariant checker.
+func (sm *SM) CheckIssueBound(next int64) error {
+	ns := sm.cfg.GPU.NumSchedulers
+	mlp := sm.cfg.GPU.MaxWarpMLP
+	for s, wake := range sm.schedWake {
+		if wake <= next {
+			continue
+		}
+		for i := s; i < len(sm.warps); i += ns {
+			w := &sm.warps[i]
+			if w.Alive && w.memPending < mlp && w.readyAt < wake &&
+				sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(i) {
+				return fmt.Errorf("SM%d sched %d: wake bound %d lies past warp %d (readyAt %d), which the policy admits",
+					sm.id, s, wake, i, w.readyAt)
+			}
+		}
+	}
+	return nil
 }
 
 // execute issues the warp's next instruction.
