@@ -7,6 +7,7 @@ import (
 
 	"github.com/linebacker-sim/linebacker/internal/check"
 	"github.com/linebacker-sim/linebacker/internal/harness"
+	"github.com/linebacker-sim/linebacker/internal/schemes"
 	"github.com/linebacker-sim/linebacker/internal/sim"
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
@@ -50,18 +51,26 @@ func TestGoldenMetricsSkipMatrix(t *testing.T) {
 // equality: the dumps expose in-flight machine state (warp counters, queue
 // depths, per-component stats), so the two runs must agree not just at the
 // finish line but at every sampled instant along the way.
+//
+// Beside the golden schemes it runs a CCWS whose scores decay to zero
+// between rankings while warps stay descheduled, so a ranking re-admits
+// warps from OnCycle with no self-event left to wake the SM: only the
+// gate signal (SM.GateOpened) does.
 func TestSkipStateDumpSampled(t *testing.T) {
 	benches := []string{"S2", "BC", "SP"}
 	if testing.Short() {
 		benches = benches[:1]
 	}
-	schemes := check.GoldenSchemes()
+	pols := check.GoldenSchemes()
+	pols["ccws-fast-decay"] = func() sim.Policy {
+		return schemes.CCWS{ScoreHit: 2, DecayPerCycle: 0.05, ScorePerDescheduledWarp: 2}
+	}
 	for _, bench := range benches {
 		b, ok := workload.ByName(bench)
 		if !ok {
 			t.Fatalf("workload %s not found", bench)
 		}
-		for name, mk := range schemes {
+		for name, mk := range pols {
 			t.Run(bench+"/"+name, func(t *testing.T) {
 				strictCfg := harness.BenchConfig()
 				strictCfg.Strict = true

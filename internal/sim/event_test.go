@@ -11,23 +11,26 @@ import (
 
 // eventBoundChecker proves the event-lower-bound half of the sleeping
 // contract (DESIGN.md §10) from inside a strict run, per sleeper: each SM
-// against SM.NextEvent and the DRAM against dram.NextEvent. After every
-// tick of a sleeper it fingerprints the sleeper's state that is NOT a
-// per-cycle accrual, and while the sleeper's last advertisement E lies in
-// the future it demands the fingerprint stay frozen until E. A change at
-// any cycle < E means the component advertised its event too late — the
-// exact bug class that would make a sleeping run diverge from this strict
-// one.
+// against the wake stepSM computed after its tick (sm.nextWake, which the
+// strict engine computes exactly as the sleeping one does), and the DRAM
+// against dram.NextEvent. After every tick of a sleeper it fingerprints
+// the sleeper's state that is NOT a per-cycle accrual, and while the
+// sleeper's last advertisement E lies in the future it demands the
+// fingerprint stay frozen until E. A change at any cycle < E means the
+// component advertised its event too late — the exact bug class that
+// would make a sleeping run diverge from this strict one.
 //
 // It is a FaultInjector, so its Stage hook observes each sleeper right
 // after the engine phase that ticks it: an SM at "l2" (its phase runs from
 // "sm" to "l2"), the DRAM at "response" (its tick runs from "dram" to
 // "response"). An injector only disables sleeping, and the run is strict
 // anyway. External inputs re-arm a sleeper's bound the way production
-// does: a CTA launch or response delivery resets the SM's wake cache,
-// which the checker sets to neverWake after each observation (strict runs
-// never read it), and an enqueue sets dramDirty. A state change that
-// bypassed those signals shows up as a violation.
+// does: a CTA launch or response delivery resets the SM's wake to 0, and
+// an enqueue sets dramDirty. A wake of 0 is also what stepSM computes
+// after a tick whose policy opened a gate, so the checker sets the wake
+// to neverWake after each observation (strict runs never read it): a 0
+// seen before the next SM phase can then only be a reset. A state change
+// that bypassed those signals shows up as a violation.
 //
 // The exempt accruals (scheduler IssueIdle, L1 MSHRStalls, DRAM busy and
 // bandwidth-token state, policy byte-cycle integrals) are the quantities
@@ -90,7 +93,8 @@ func (c *eventBoundChecker) Stage(g *GPU, stage string, cyc int64) {
 	case "l2":
 		c.checks++
 		for i, sm := range g.sms {
-			span, err := c.sms[i].observe("SM.NextEvent", smFingerprint(sm), cyc, sm.NextEvent)
+			wake := func(int64) (int64, bool) { return sm.nextWake, true }
+			span, err := c.sms[i].observe("stepSM", smFingerprint(sm), cyc, wake)
 			if err != nil {
 				c.err = fmt.Errorf("SM %d %w", i, err)
 				return
@@ -189,29 +193,46 @@ func dramFingerprint(d *dram.DRAM) uint64 {
 // into its wake bound. During an "off" phase the whole SM front-end is
 // idle, so any too-late advertisement from the policy merge path would
 // surface as a lower-bound violation.
-type pulsePolicy struct{ period int64 }
+//
+// NextEvent has two forms. The default is the ceiling of now to a
+// boundary. fromLast is the form CCWS, PCAL and Linebacker use: the last
+// boundary OnCycle passed plus period. Right after the flip that opens the
+// gates it already names the next boundary, so the SM learns of the
+// opening only through GateOpened.
+type pulsePolicy struct {
+	period   int64
+	fromLast bool
+}
 
 func (p pulsePolicy) Name() string { return "pulse" }
 func (p pulsePolicy) Attach(sm *SM) SMPolicy {
-	return &pulseState{sm: sm, period: p.period}
+	return &pulseState{sm: sm, period: p.period, fromLast: p.fromLast}
 }
 
 type pulseState struct {
 	BasePolicy
-	sm     *SM
-	period int64
-	on     bool
+	sm       *SM
+	period   int64
+	fromLast bool
+	on       bool
+	last     int64 // the last boundary OnCycle passed
 }
 
 func (s *pulseState) CTAActive(int) bool { return s.on }
 func (s *pulseState) OnCycle(cycle int64) {
 	was := s.on
 	s.on = (cycle/s.period)%2 == 0
+	if cycle%s.period == 0 {
+		s.last = cycle
+	}
 	if s.on && !was {
 		s.sm.GateOpened()
 	}
 }
 func (s *pulseState) NextEvent(now int64) (int64, bool) {
+	if s.fromLast {
+		return max(s.last+s.period, now), true
+	}
 	// The phase flips during OnCycle of every multiple of period, so the
 	// earliest self-event >= now is the ceiling boundary (now itself when
 	// now is a boundary — the eventBoundChecker caught the off-by-one
@@ -219,10 +240,14 @@ func (s *pulseState) NextEvent(now int64) (int64, bool) {
 	return (now + s.period - 1) / s.period * s.period, true
 }
 func (s *pulseState) SkipCycles(from, to int64) {
-	// on is a pure function of the last OnCycle's cycle; replay the final
-	// slept cycle's decision so a sleeping run lands in the same phase.
+	// on and last are pure functions of the cycles OnCycle saw; replay the
+	// final slept cycle's phase, and the last boundary the span passed, so
+	// a sleeping run lands in the same state.
 	if to > from {
 		s.on = ((to-1)/s.period)%2 == 0
+		if b := (to - 1) / s.period * s.period; b >= from {
+			s.last = b
+		}
 	}
 }
 
@@ -237,11 +262,18 @@ func eventBoundCfg() config.Config {
 	return cfg
 }
 
+// pulsePolicies names the pulse policy in both NextEvent forms.
+var pulsePolicies = map[string]pulsePolicy{
+	"pulse":      {period: 3000},
+	"pulse-last": {period: 3000, fromLast: true},
+}
+
 // TestEventLowerBound runs strict simulations with the lower-bound checker
 // installed: every event an SM or the DRAM advertises must be a true lower
 // bound on its next state change. Covers a memory-bound benchmark under the
 // stateless baseline (warp readyAt / MSHR / DRAM events) and under a
-// window-pulsed gating policy (policy NextEvent merge path).
+// window-pulsed gating policy in both NextEvent forms (the policy merge
+// path, and gates opened in OnCycle).
 func TestEventLowerBound(t *testing.T) {
 	benches := []string{"S2", "BC"}
 	if testing.Short() {
@@ -249,7 +281,9 @@ func TestEventLowerBound(t *testing.T) {
 	}
 	pols := map[string]func() Policy{
 		"baseline": func() Policy { return Baseline{} },
-		"pulse":    func() Policy { return pulsePolicy{period: 3000} },
+	}
+	for name, p := range pulsePolicies {
+		pols[name] = func() Policy { return p }
 	}
 	for _, bench := range benches {
 		b, ok := workload.ByName(bench)
@@ -284,31 +318,36 @@ func TestEventLowerBound(t *testing.T) {
 	}
 }
 
-// TestPulsePolicySkipEquivalence cross-checks the pulse policy used above:
-// its own NextEvent/SkipCycles implementation must satisfy the invisibility
-// contract, which doubles as a second strict-vs-sleeping differential on a
-// policy written independently of the shipped schemes.
+// TestPulsePolicySkipEquivalence cross-checks the pulse policy used above,
+// in both NextEvent forms: its own NextEvent/SkipCycles implementation
+// must satisfy the invisibility contract, which doubles as a second
+// strict-vs-sleeping differential on a policy written independently of
+// the shipped schemes.
 func TestPulsePolicySkipEquivalence(t *testing.T) {
 	b, ok := workload.ByName("S2")
 	if !ok {
 		t.Fatal("workload S2 not found")
 	}
-	run := func(strict bool) (string, int64) {
-		cfg := eventBoundCfg()
-		cfg.Strict = strict
-		g, err := New(cfg, b.Kernel, pulsePolicy{period: 3000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Run(60_000)
-		return g.StateDump(), g.SleptSMCycles()
-	}
-	ds, _ := run(true)
-	dk, slept := run(false)
-	if ds != dk {
-		t.Fatalf("pulse policy diverged between strict and sleeping:\n--- strict ---\n%s\n--- sleeping ---\n%s", ds, dk)
-	}
-	if slept == 0 {
-		t.Error("sleeping run never slept an SM-cycle; differential was vacuous")
+	for name, pol := range pulsePolicies {
+		t.Run(name, func(t *testing.T) {
+			run := func(strict bool) (string, int64) {
+				cfg := eventBoundCfg()
+				cfg.Strict = strict
+				g, err := New(cfg, b.Kernel, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.Run(60_000)
+				return g.StateDump(), g.SleptSMCycles()
+			}
+			ds, _ := run(true)
+			dk, slept := run(false)
+			if ds != dk {
+				t.Fatalf("%s diverged between strict and sleeping:\n--- strict ---\n%s\n--- sleeping ---\n%s", name, ds, dk)
+			}
+			if slept == 0 {
+				t.Error("sleeping run never slept an SM-cycle; differential was vacuous")
+			}
+		})
 	}
 }

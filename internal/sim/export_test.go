@@ -19,7 +19,7 @@ import (
 // bound replaced: greedy first, then the oldest ready, gate-admitted warp
 // of the whole strided partition, and the earliest future readyAt. It is
 // the oracle pickWarp must match pick for pick and, when nothing is
-// picked, future for future.
+// picked, the future the scheduler's wake bound must be left at.
 func refPickWarp(sm *SM, sched int, cycle int64) (int, int64) {
 	ns := sm.cfg.GPU.NumSchedulers
 	mlp := sm.cfg.GPU.MaxWarpMLP
@@ -131,9 +131,11 @@ type PickWarpTally struct {
 }
 
 // CheckPickWarp compares pickWarp with refPickWarp on every scheduler of
-// the SM at the given cycle, and checks every age list. The wake bound is
-// restored after each probe, so the probe leaves the run exactly as it
-// found it (gate calls are pure reads).
+// the SM at the given cycle: the pick, and after a failed call the wake
+// bound, which stepSM reads as the scheduler's part of the SM's wake. It
+// also checks every age list. The wake bound is restored after each probe,
+// so the probe leaves the run exactly as it found it (gate calls are pure
+// reads).
 func CheckPickWarp(sm *SM, cycle int64, tally *PickWarpTally) error {
 	ns := sm.cfg.GPU.NumSchedulers
 	mlp := sm.cfg.GPU.MaxWarpMLP
@@ -162,7 +164,8 @@ func CheckPickWarp(sm *SM, cycle int64, tally *PickWarpTally) error {
 			tally.Fast++
 		}
 		want, wantFuture := refPickWarp(sm, s, cycle)
-		got, gotFuture := sm.pickWarp(s, cycle)
+		got := sm.pickWarp(s, cycle)
+		gotFuture := sm.schedWake[s]
 		sm.schedWake[s] = wake
 		if got != want {
 			return fmt.Errorf("SM%d sched %d cycle %d: picked warp %d, full scan picks %d (wake bound %d)",
@@ -172,7 +175,7 @@ func CheckPickWarp(sm *SM, cycle int64, tally *PickWarpTally) error {
 			continue
 		}
 		if gotFuture != wantFuture {
-			return fmt.Errorf("SM%d sched %d cycle %d: no pick, future %d, full scan says %d (wake bound %d)",
+			return fmt.Errorf("SM%d sched %d cycle %d: no pick left the wake bound at %d, full scan's future is %d (bound before the call %d)",
 				sm.id, s, cycle, gotFuture, wantFuture, wake)
 		}
 		for i := s; i < len(sm.warps); i += ns {

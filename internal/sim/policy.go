@@ -29,9 +29,10 @@ type SMPolicy interface {
 	//
 	// Gates (CTAActive and WarpActive) are pure functions of policy state.
 	// The issue stage keeps each scheduler's wake bound past a gated-off
-	// ready warp, so a hook that may turn an answer from false to true
-	// must call SM.GateOpened on its SM. Closing a gate needs no call: it
-	// only delays picks. See DESIGN.md §10.
+	// ready warp, and a sleeping SM wakes at the least of those bounds, so
+	// a hook that may turn an answer from false to true must call
+	// SM.GateOpened on its SM. Closing a gate needs no call: it only
+	// delays picks. See DESIGN.md §10.
 	CTAActive(slot int) bool
 
 	// WarpActive reports whether the individual warp slot may issue this

@@ -106,23 +106,20 @@ type SM struct {
 
 	pol SMPolicy
 
-	// nextWake caches this SM's next event cycle (see event.go): while the
-	// run clock is below it, stepSM replaces the tick with the closed-form
-	// accruals of sleepCycle. Purely an engine shortcut — simulated state
-	// is bit-identical either way. Invalidated (set to 0) by the two
-	// external inputs an SM has: a response delivery (handleResponse) and
-	// a CTA launch (launchCTA). sleepStalled caches the head-of-line MSHR
-	// stall verdict for the sleep span — the predicate cannot change while
-	// the SM sleeps (only a fill changes it, and a fill resets nextWake),
-	// so the per-cycle accrual avoids re-deriving the head's address.
-	// scanWake is the merged future-ready minimum of issue()'s failed
-	// pickWarp calls — valid only for the cycle of an issue-less tick,
-	// where it hands stepSM the warp part of NextEvent for free.
-	// slept counts the cycles this SM slept (sleepCycle) instead of
-	// ticking. Diagnostic only (the skip ratio of the benchmark
-	// trajectory); never part of Result/StateDump.
+	// nextWake is this SM's wake, the earliest cycle at which it can
+	// change state again, computed by stepSM after every tick in both run
+	// modes (see event.go). While the run clock is below it, a sleeping
+	// engine replaces the tick with the closed-form accruals of
+	// sleepCycle; simulated state is bit-identical either way. Reset to 0
+	// by the two external inputs an SM has: a response delivery
+	// (handleResponse) and a CTA launch (launchCTA). sleepStalled caches
+	// the head-of-line MSHR stall verdict for the sleep span — the
+	// predicate cannot change while the SM sleeps (only a fill changes it,
+	// and a fill resets nextWake), so the per-cycle accrual avoids
+	// re-deriving the head's address. slept counts the cycles this SM
+	// slept (sleepCycle) instead of ticking. Diagnostic only; never part
+	// of Result/StateDump.
 	nextWake     int64
-	scanWake     int64
 	sleepStalled bool
 	slept        int64
 
@@ -359,9 +356,10 @@ func (sm *SM) Busy() bool {
 
 // tick advances the SM one cycle: schedulers issue, the LSU retires line
 // requests, and the policy runs. The return value reports whether the
-// front-end did any work (issued an instruction or moved an LSU request) —
-// a cheap activity hint stepSM uses to decide when an event rescan is
-// worth it; it carries no correctness weight (see event.go).
+// front-end did any work (issued an instruction or moved an LSU request).
+// After a tick that did none, no scheduler can pick a warp before its
+// wake bound and the LSU is empty or stalled at its head, which is what
+// stepSM's wake computation relies on (see event.go).
 func (sm *SM) tick(cycle int64) bool {
 	issued := sm.issue(cycle)
 	moved := sm.runLSU(cycle)
@@ -369,37 +367,31 @@ func (sm *SM) tick(cycle int64) bool {
 	return issued || moved
 }
 
-// issue runs the GTO warp schedulers; true if any of them issued. When no
-// scheduler issues, the merged future-ready minimum of their pickWarp calls
-// is cached in scanWake — the earliest readyAt among the SM's alive,
-// under-MLP warps, exact whether a scheduler scanned or answered from its
-// wake bound — and the per-SM sleeper (event.go) reads it instead of
-// re-scanning.
+// issue runs the GTO warp schedulers; true if any of them issued. A
+// scheduler that issues nothing leaves its wake bound at the earliest
+// readyAt of its alive, under-MLP warps (pickWarp), which is its part of
+// the SM's wake (stepSM).
 func (sm *SM) issue(cycle int64) bool {
 	ns := sm.cfg.GPU.NumSchedulers
 	issued := false
-	future := neverWake
 	for s := 0; s < ns; s++ {
-		w, f := sm.pickWarp(s, cycle)
+		w := sm.pickWarp(s, cycle)
 		if w < 0 {
 			sm.Stats.IssueIdle++
-			if f < future {
-				future = f
-			}
 			continue
 		}
 		issued = true
 		sm.lastIssued[s] = w
 		sm.execute(&sm.warps[w], cycle)
 	}
-	sm.scanWake = future
 	return issued
 }
 
-// pickWarp implements greedy-then-oldest among the scheduler's warps. The
-// second result, meaningful only when no warp is picked, is the earliest
-// readyAt among the scheduler's alive, under-MLP warps that are not ready
-// yet (neverWake if none).
+// pickWarp implements greedy-then-oldest among the scheduler's warps and
+// returns the picked warp, or -1. A failed call leaves sm.schedWake[sched]
+// at the earliest readyAt among the scheduler's alive, under-MLP warps
+// that are not ready yet (neverWake if none): the exact value a full scan
+// would find, and what stepSM folds into the SM's wake.
 //
 // Two pieces of per-scheduler state keep the common cases short. The age
 // list sm.order[sched] makes the first eligible warp of the scan the
@@ -409,19 +401,19 @@ func (sm *SM) issue(cycle int64) bool {
 // A failed scan sets it to the exact future; an eligible warp's readyAt
 // moves only when it issues, and only launchCTA, finishLoad and an opened
 // gate can make a warp eligible, each lowering the bound (GateOpened), so
-// the bound returned below equals what a scan would return. A closed gate
-// needs no signal: it only delays picks, and the future it returns ignores
+// a bound that answers a call equals what a scan would find. A closed
+// gate needs no signal: it only delays picks, and the future ignores
 // gates.
-func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
-	if wake := sm.schedWake[sched]; cycle < wake {
-		return -1, wake
+func (sm *SM) pickWarp(sched int, cycle int64) int {
+	if cycle < sm.schedWake[sched] {
+		return -1
 	}
 	mlp := sm.cfg.GPU.MaxWarpMLP
 	// Greedy: stick with the last issued warp while it remains ready.
 	if last := sm.lastIssued[sched]; last >= 0 {
 		w := &sm.warps[last]
 		if w.ready(cycle, mlp) && sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(last) {
-			return last, 0
+			return last
 		}
 	}
 	// Oldest: the first ready warp in age order whose gates pass. Gates are
@@ -439,17 +431,20 @@ func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
 			continue
 		}
 		if sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(i) {
-			return i, 0
+			return i
 		}
 	}
 	sm.schedWake[sched] = future
-	return -1, future
+	return -1
 }
 
 // GateOpened tells the issue stage that a CTAActive or WarpActive answer of
 // this SM's policy may have turned from false to true, so every scheduler
 // rescans at its next call instead of trusting its wake bound (see
-// pickWarp). Policies call it from the hook that opens the gate.
+// pickWarp). Policies call it from the hook that opens the gate. The
+// zeroed bounds are also the SM's wake: stepSM folds them after the tick,
+// so a gate opened in OnCycle makes the SM tick the next cycle instead of
+// sleeping past it.
 func (sm *SM) GateOpened() {
 	for s := range sm.schedWake {
 		sm.schedWake[s] = 0
