@@ -21,6 +21,7 @@ func EngineRules() []Rule {
 		{Name: "l2-mshr", Check: checkL2MSHR},
 		{Name: "policy-invariants", Check: checkPolicies},
 		{Name: "issue-bound", Check: checkIssueBound},
+		{Name: "lsu-park", Check: checkLSUPark},
 	}
 }
 
@@ -175,6 +176,19 @@ func checkPolicies(g *sim.GPU) error {
 func checkIssueBound(g *sim.GPU) error {
 	for _, sm := range g.SMs() {
 		if err := sm.CheckIssueBound(g.Cycle() + 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkLSUPark verifies every parked LSU's stall verdict
+// (sim.SM.CheckLSUPark): a park that a fill failed to clear, or that was
+// set without a head-of-line MSHR stall, would freeze a queue the strict
+// engine keeps draining.
+func checkLSUPark(g *sim.GPU) error {
+	for _, sm := range g.SMs() {
+		if err := sm.CheckLSUPark(); err != nil {
 			return err
 		}
 	}

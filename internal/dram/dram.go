@@ -285,6 +285,13 @@ func (d *DRAM) TickEach(cycle int64, fn func(*memtypes.Request)) bool {
 // step for step, so the advertised cycle is exact, never late: during a
 // skipped span nothing is scheduled or completed, so the token trajectory
 // is pure refills — at most a handful before the burst cap clamps.
+//
+// A channel whose chWake lies past now reuses it as its window's earliest
+// bank readyAt instead of rescanning. Such a bound was set by a scan of
+// the current window: an enqueue since would have zeroed it, and a
+// dequeue since would have happened at or past the bound, yet before now.
+// Only the channel's own dequeues move its banks. This needs now to lie
+// after the last tick, which is what the engine asks for.
 func (d *DRAM) NextEvent(now int64) (int64, bool) {
 	if d.stalled {
 		return 0, false
@@ -309,15 +316,9 @@ func (d *DRAM) NextEvent(now int64) (int64, bool) {
 				if len(q) == 0 {
 					continue
 				}
-				window := len(q)
-				if window > 16 {
-					window = 16
-				}
-				bankReady := int64(-1)
-				for _, e := range q[:window] {
-					if r := d.banks[e.bank].readyAt; bankReady < 0 || r < bankReady {
-						bankReady = r
-					}
+				bankReady := d.chWake[ch]
+				if bankReady <= now {
+					bankReady = d.windowReady(q)
 				}
 				c := tokenReady
 				if bankReady > c {
@@ -328,6 +329,20 @@ func (d *DRAM) NextEvent(now int64) (int64, bool) {
 		}
 	}
 	return best, any
+}
+
+// schedWindow is how many of a channel's oldest queued requests the
+// FR-FCFS scheduler considers each cycle.
+const schedWindow = 16
+
+// windowReady returns the earliest readyAt among the banks of a channel's
+// scheduling window; q is the channel's non-empty queue.
+func (d *DRAM) windowReady(q []qent) int64 {
+	ready := d.banks[q[0].bank].readyAt
+	for _, e := range q[1:min(len(q), schedWindow)] {
+		ready = min(ready, d.banks[e.bank].readyAt)
+	}
+	return ready
 }
 
 // tokenDelay returns the number of cycles until the bandwidth tokens first
@@ -410,10 +425,7 @@ func (d *DRAM) schedule(ch int, cycle int64) bool {
 	// The scheduler inspects a bounded window of the queue head (a real
 	// controller's transaction queue is finite); this also bounds the
 	// per-cycle cost under heavy congestion.
-	window := len(q)
-	if window > 16 {
-		window = 16
-	}
+	window := min(len(q), schedWindow)
 	pick := -1
 	// First pass: oldest row hit on a ready bank.
 	for i := range q[:window] {

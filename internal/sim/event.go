@@ -7,8 +7,11 @@ package sim
 // accumulators it would have applied (scheduler idle counts, head-of-line
 // MSHR stalls, DRAM busy/bandwidth tokens, policy byte-cycle integrals),
 // in closed form. An SM's advertisement is the wake stepSM computes after
-// each tick; the DRAM's is dram.NextEvent. The contract that keeps
-// sleeping observably invisible:
+// each tick; the DRAM's is dram.NextEvent. An SM that ticks keeps a
+// second, finer sleeper in its LSU: a sleeping engine parks the LSU on a
+// head-of-line MSHR stall (SM.parked) until the next response, so even a
+// tick that must run for its schedulers' sake does not re-derive the
+// stall. The contract that keeps sleeping observably invisible:
 //
 //   - An advertisement is the earliest cycle after the tick at which the
 //     component might change state if the engine ticked it every cycle;
@@ -56,15 +59,22 @@ const neverWake = int64(1)<<62 - 1
 // would otherwise have moved the head). A stalled head blocks the whole
 // queue, and each retried cycle mutates exactly one counter
 // (l1.Stats.MSHRStalls — the structural check in processOp runs before
-// any other side effect), which sleepCycle reproduces in closed form.
-// Only an L1 fill can clear the stall, and fills arrive through
-// handleResponse, which resets nextWake, so a sleep never covers one.
+// any other side effect). Only an L1 fill can clear the stall, and fills
+// arrive through handleResponse, which resets nextWake, so a sleep never
+// covers one.
+//
+// The same argument lets a sleeping engine park the LSU on the stall
+// (tick's park argument, SM.parked) while the SM keeps ticking, and after
+// an issue-less tick that moved nothing a non-empty LSU is exactly a
+// parked one, so sleepCycle reads the same flag. Strict runs never park:
+// they re-derive the stall every cycle and stay the per-cycle reference
+// the strict-vs-sleeping oracles hold the parked verdict to.
 func (g *GPU) stepSM(sm *SM, cyc int64) {
 	if g.smSleep && cyc < sm.nextWake {
 		sm.sleepCycle(cyc)
 		return
 	}
-	if sm.tick(cyc) {
+	if sm.tick(cyc, g.smSleep) {
 		sm.nextWake = cyc + 1
 		return
 	}
@@ -79,17 +89,16 @@ func (g *GPU) stepSM(sm *SM, cyc int64) {
 		wake = cyc + 1
 	}
 	sm.nextWake = wake
-	sm.sleepStalled = sm.lsu.Len() > 0
 }
 
 // sleepCycle applies one slept cycle's accruals: every scheduler provably
 // finds no eligible warp (otherwise the SM would have advertised an earlier
-// wake), a head-of-line MSHR stall retries once (the verdict stepSM cached
-// cannot change before a fill, and a fill resets nextWake), and the policy
+// wake), a parked LSU retries its head once (the verdict cannot change
+// before a fill, and a fill resets nextWake and the park), and the policy
 // applies its own integrals.
 func (sm *SM) sleepCycle(cyc int64) {
 	sm.Stats.IssueIdle += int64(sm.cfg.GPU.NumSchedulers)
-	if sm.sleepStalled {
+	if sm.parked {
 		sm.l1.Stats.MSHRStalls++
 	}
 	sm.slept++

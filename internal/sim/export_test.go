@@ -133,29 +133,30 @@ type PickWarpTally struct {
 // CheckPickWarp compares pickWarp with refPickWarp on every scheduler of
 // the SM at the given cycle: the pick, and after a failed call the wake
 // bound, which stepSM reads as the scheduler's part of the SM's wake. It
-// also checks every age list. The wake bound is restored after each probe,
-// so the probe leaves the run exactly as it found it (gate calls are pure
-// reads).
+// also checks every age list against the full scan's candidates: the
+// alive warps under the MLP limit, by (seq, idx). The wake bound is
+// restored after each probe, so the probe leaves the run exactly as it
+// found it (gate calls are pure reads).
 func CheckPickWarp(sm *SM, cycle int64, tally *PickWarpTally) error {
 	ns := sm.cfg.GPU.NumSchedulers
 	mlp := sm.cfg.GPU.MaxWarpMLP
 	for s := 0; s < ns; s++ {
-		var alive []int
+		var listed []int
 		for i := s; i < len(sm.warps); i += ns {
-			if sm.warps[i].Alive {
-				alive = append(alive, i)
+			if w := &sm.warps[i]; w.Alive && w.memPending < mlp {
+				listed = append(listed, i)
 			}
 		}
-		slices.SortFunc(alive, func(a, b int) int {
+		slices.SortFunc(listed, func(a, b int) int {
 			wa, wb := &sm.warps[a], &sm.warps[b]
 			if c := cmp.Compare(wa.Seq, wb.Seq); c != 0 {
 				return c
 			}
 			return cmp.Compare(wa.Idx, wb.Idx)
 		})
-		if !slices.Equal(sm.order[s], alive) {
-			return fmt.Errorf("SM%d sched %d cycle %d: age list %v, want alive warps by (seq, idx) %v",
-				sm.id, s, cycle, sm.order[s], alive)
+		if !slices.Equal(sm.order[s], listed) {
+			return fmt.Errorf("SM%d sched %d cycle %d: age list %v, want alive warps under the MLP limit by (seq, idx) %v",
+				sm.id, s, cycle, sm.order[s], listed)
 		}
 
 		wake := sm.schedWake[s]
@@ -198,6 +199,13 @@ func CheckPickWarp(sm *SM, cycle int64, tally *PickWarpTally) error {
 	}
 	return nil
 }
+
+// Parked reports whether the SM's LSU is parked on a head-of-line stall.
+func (sm *SM) Parked() bool { return sm.parked }
+
+// ForcePark parks the SM's LSU whatever its head: the false verdict the
+// lsu-park checker rule must catch.
+func (sm *SM) ForcePark() { sm.parked = true }
 
 // Done reports grid completion.
 func (g *GPU) Done() bool { return g.done() }

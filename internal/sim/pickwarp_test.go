@@ -11,12 +11,15 @@ import (
 
 // TestPickWarpMatchesFullScan runs strict simulations and, before every
 // Step, checks pickWarp against the full-scan oracle on every SM and
-// scheduler, and every age list against the alive warps sorted by (seq,
-// idx).
+// scheduler, and every age list against the alive warps under the MLP
+// limit sorted by (seq, idx).
 //
 // The test policies run on a compute-bound and an MLP-saturating memory
 // mix, both grids larger than the SMs' residency, so slots are reused and
-// an older CTA ends up in a higher slot than a younger one. The production
+// an older CTA ends up in a higher slot than a younger one. The memory mix
+// also runs at MLP limits of 3, where its two-line load overshoots the
+// limit and a warp rejoins its list only on the second fill, and 1, where
+// every load takes a warp off its list; so does S2 under SWL. The production
 // gating schemes each open gates in their own hook, which must call
 // SM.GateOpened: SWL below residency on grids that drain, so a CTA
 // completion admits a throttled CTA with no launch to re-arm the wake
@@ -50,6 +53,7 @@ func TestPickWarpMatchesFullScan(t *testing.T) {
 		k      *workload.Kernel
 		pol    sim.Policy
 		window int // monitoring window in cycles; 0 keeps the config's
+		mlp    int // MaxWarpMLP; 0 keeps the config's
 	}
 	var points []point
 	for _, k := range []*workload.Kernel{compute(48), memory(48)} {
@@ -57,10 +61,16 @@ func TestPickWarpMatchesFullScan(t *testing.T) {
 			points = append(points, point{k: k, pol: pol})
 		}
 	}
+	for _, mlp := range []int{3, 1} {
+		for _, pol := range sim.GateTestPolicies() {
+			points = append(points, point{k: memory(48), pol: pol, mlp: mlp})
+		}
+	}
 	// A grid of 16 is resident at once on the two SMs and then drains.
 	points = append(points,
 		point{k: compute(16), pol: schemes.SWL{Limit: 2}},
 		point{k: memory(16), pol: schemes.SWL{Limit: 2}},
+		point{k: bench("S2"), pol: schemes.SWL{Limit: 2}, mlp: 1},
 		point{k: bench("S2"), pol: schemes.CCWS{}},
 		point{k: bench("S2"), pol: core.New(), window: 500},
 		point{k: bench("BI"), pol: core.New(), window: 1000},
@@ -73,6 +83,9 @@ func TestPickWarpMatchesFullScan(t *testing.T) {
 		if p.window > 0 {
 			cfg.LB.WindowCycles = p.window
 		}
+		if p.mlp > 0 {
+			cfg.GPU.MaxWarpMLP = p.mlp
+		}
 		g, err := sim.New(cfg, p.k, p.pol)
 		if err != nil {
 			t.Fatal(err)
@@ -82,16 +95,16 @@ func TestPickWarpMatchesFullScan(t *testing.T) {
 		for n := 0; n < maxSteps && !g.Done(); n++ {
 			for _, sm := range g.SMs() {
 				if err := sim.CheckPickWarp(sm, g.Cycle(), &tally); err != nil {
-					t.Fatalf("%s/%s: %v", p.k.Name, p.pol.Name(), err)
+					t.Fatalf("%s/%s mlp %d: %v", p.k.Name, p.pol.Name(), cfg.GPU.MaxWarpMLP, err)
 				}
 			}
 			g.Step()
 		}
 		extra := g.Collect().Extra
-		t.Logf("%s/%s: %d cycles, %d bound answers (%d with a ready warp gated off), %d gated failures, %d inverted cycles, %g reactivations",
-			p.k.Name, p.pol.Name(), g.Cycle(), tally.Fast, tally.GatedFast, tally.Gated, tally.Inverted, extra["lb_reactivations"])
+		t.Logf("%s/%s mlp %d: %d cycles, %d bound answers (%d with a ready warp gated off), %d gated failures, %d inverted cycles, %g reactivations",
+			p.k.Name, p.pol.Name(), cfg.GPU.MaxWarpMLP, g.Cycle(), tally.Fast, tally.GatedFast, tally.Gated, tally.Inverted, extra["lb_reactivations"])
 		if _, ungated := p.pol.(sim.Baseline); !ungated && tally.GatedFast == 0 {
-			t.Errorf("%s/%s: the wake bound never answered while a ready warp was gated off", p.k.Name, p.pol.Name())
+			t.Errorf("%s/%s mlp %d: the wake bound never answered while a ready warp was gated off", p.k.Name, p.pol.Name(), cfg.GPU.MaxWarpMLP)
 		}
 		if _, lb := p.pol.(*core.Policy); lb && extra["lb_reactivations"] == 0 {
 			t.Errorf("%s/%s: no throttled CTA was restored, so finishRestore's gate signal went untested", p.k.Name, p.pol.Name())

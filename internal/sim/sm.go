@@ -82,9 +82,9 @@ type SM struct {
 	warpsPerCTA int
 
 	// GTO scheduler state, indexed by scheduler: the last warp each
-	// scheduler issued from; its live warp slots oldest first, by (CTA seq,
-	// warp idx); and its wake bound, at or below the readyAt of every
-	// alive, under-MLP warp it owns (see pickWarp).
+	// scheduler issued from; its alive warp slots under the MLP limit,
+	// oldest first by (CTA seq, warp idx); and its wake bound, at or below
+	// the readyAt of every warp in that list (see pickWarp).
 	lastIssued []int
 	order      [][]int
 	schedWake  []int64
@@ -112,16 +112,21 @@ type SM struct {
 	// engine replaces the tick with the closed-form accruals of
 	// sleepCycle; simulated state is bit-identical either way. Reset to 0
 	// by the two external inputs an SM has: a response delivery
-	// (handleResponse) and a CTA launch (launchCTA). sleepStalled caches
-	// the head-of-line MSHR stall verdict for the sleep span — the
-	// predicate cannot change while the SM sleeps (only a fill changes it,
-	// and a fill resets nextWake), so the per-cycle accrual avoids
-	// re-deriving the head's address. slept counts the cycles this SM
-	// slept (sleepCycle) instead of ticking. Diagnostic only; never part
-	// of Result/StateDump.
-	nextWake     int64
-	sleepStalled bool
-	slept        int64
+	// (handleResponse) and a CTA launch (launchCTA).
+	//
+	// parked is the LSU half of the sleeper, set only by a sleeping
+	// engine: the LSU head failed processOp's structural check (line
+	// neither resident nor outstanding, MSHRs full), and only a fill can
+	// change that verdict. Until handleResponse clears it, runLSU and
+	// sleepCycle apply the stall's one side effect without re-deriving the
+	// head's address or probing the L1.
+	//
+	// slept counts the cycles this SM slept (sleepCycle) instead of
+	// ticking. All three are engine caches and diagnostics, never part of
+	// Result or StateDump.
+	nextWake int64
+	parked   bool
+	slept    int64
 
 	// Probe, when non-nil, observes every load and store line-request
 	// (used by the Figure 2/3 working-set probes and the trace recorder).
@@ -355,21 +360,22 @@ func (sm *SM) Busy() bool {
 // --- per-cycle pipeline ---
 
 // tick advances the SM one cycle: schedulers issue, the LSU retires line
-// requests, and the policy runs. The return value reports whether the
-// front-end did any work (issued an instruction or moved an LSU request).
-// After a tick that did none, no scheduler can pick a warp before its
-// wake bound and the LSU is empty or stalled at its head, which is what
-// stepSM's wake computation relies on (see event.go).
-func (sm *SM) tick(cycle int64) bool {
+// requests, and the policy runs. park lets the LSU park on a head-of-line
+// stall (sleeping engines only; see parked). The return value reports
+// whether the front-end did any work (issued an instruction or moved an
+// LSU request). After a tick that did none, no scheduler can pick a warp
+// before its wake bound and the LSU is empty or stalled at its head, which
+// is what stepSM's wake computation relies on (see event.go).
+func (sm *SM) tick(cycle int64, park bool) bool {
 	issued := sm.issue(cycle)
-	moved := sm.runLSU(cycle)
+	moved := sm.runLSU(cycle, park)
 	sm.pol.OnCycle(cycle)
 	return issued || moved
 }
 
 // issue runs the GTO warp schedulers; true if any of them issued. A
 // scheduler that issues nothing leaves its wake bound at the earliest
-// readyAt of its alive, under-MLP warps (pickWarp), which is its part of
+// readyAt of the warps in its age list (pickWarp), which is its part of
 // the SM's wake (stepSM).
 func (sm *SM) issue(cycle int64) bool {
 	ns := sm.cfg.GPU.NumSchedulers
@@ -394,25 +400,25 @@ func (sm *SM) issue(cycle int64) bool {
 // would find, and what stepSM folds into the SM's wake.
 //
 // Two pieces of per-scheduler state keep the common cases short. The age
-// list sm.order[sched] makes the first eligible warp of the scan the
-// oldest one. The wake bound sm.schedWake[sched] answers the failed case
-// in O(1): it never exceeds the readyAt of an alive, under-MLP,
-// gate-admitted warp of the scheduler, so below it no warp can be picked.
-// A failed scan sets it to the exact future; an eligible warp's readyAt
-// moves only when it issues, and only launchCTA, finishLoad and an opened
-// gate can make a warp eligible, each lowering the bound (GateOpened), so
-// a bound that answers a call equals what a scan would find. A closed
-// gate needs no signal: it only delays picks, and the future ignores
-// gates.
+// list sm.order[sched] holds exactly the scheduler's alive warps under the
+// MLP limit, the only ones that can issue, so the first eligible warp of
+// the scan is the oldest one and warps blocked on memory cost nothing.
+// The wake bound sm.schedWake[sched] answers the failed case in O(1): it
+// never exceeds the readyAt of a listed, gate-admitted warp, so below it
+// no warp can be picked. A failed scan sets it to the exact future; a
+// listed warp's readyAt moves only when it issues, and only launchCTA,
+// finishLoad and an opened gate can make a warp eligible, each lowering
+// the bound (GateOpened), so a bound that answers a call equals what a
+// scan would find. A closed gate needs no signal: it only delays picks,
+// and the future ignores gates.
 func (sm *SM) pickWarp(sched int, cycle int64) int {
 	if cycle < sm.schedWake[sched] {
 		return -1
 	}
-	mlp := sm.cfg.GPU.MaxWarpMLP
 	// Greedy: stick with the last issued warp while it remains ready.
 	if last := sm.lastIssued[sched]; last >= 0 {
 		w := &sm.warps[last]
-		if w.ready(cycle, mlp) && sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(last) {
+		if w.ready(cycle, sm.cfg.GPU.MaxWarpMLP) && sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(last) {
 			return last
 		}
 	}
@@ -421,9 +427,6 @@ func (sm *SM) pickWarp(sched int, cycle int64) int {
 	future := neverWake
 	for _, i := range sm.order[sched] {
 		w := &sm.warps[i]
-		if w.memPending >= mlp {
-			continue
-		}
 		if w.readyAt > cycle {
 			if w.readyAt < future {
 				future = w.readyAt
@@ -496,6 +499,11 @@ func (sm *SM) execute(w *Warp, cycle int64) {
 		}
 		w.readyAt = cycle + loadIssueLatency
 		w.memPending += l.Coalesced
+		if w.memPending >= sm.cfg.GPU.MaxWarpMLP {
+			// At its MLP limit the warp cannot issue; finishLoad lists it
+			// again when a request lands.
+			sm.unlistWarp(warpIndex(sm, w))
+		}
 		for r := 0; r < l.Coalesced; r++ {
 			sm.lsu.Push(lsuOp{warp: w, loadIdx: ins.LoadIdx, req: r, ctx: sm.ctx(w)})
 		}
@@ -526,15 +534,43 @@ func (sm *SM) advance(w *Warp, cycle int64) {
 		return
 	}
 	w.Alive = false
-	// Only alive warps sit in a scheduler's age list.
-	wi := warpIndex(sm, w)
-	s := wi % sm.cfg.GPU.NumSchedulers
-	j := slices.Index(sm.order[s], wi)
-	sm.order[s] = slices.Delete(sm.order[s], j, j+1)
+	// Only alive warps sit in a scheduler's age list; one at its MLP limit
+	// has already left it.
+	if w.memPending < sm.cfg.GPU.MaxWarpMLP {
+		sm.unlistWarp(warpIndex(sm, w))
+	}
 	if w.memPending == 0 {
 		sm.retireWarp(w, cycle)
 	}
 	// Otherwise finishLoad retires the warp when its last request lands.
+}
+
+// unlistWarp removes warp slot wi from its scheduler's age list.
+func (sm *SM) unlistWarp(wi int) {
+	s := wi % sm.cfg.GPU.NumSchedulers
+	j := slices.Index(sm.order[s], wi)
+	sm.order[s] = slices.Delete(sm.order[s], j, j+1)
+}
+
+// listWarp inserts warp slot wi into its scheduler's age list at its age
+// position. The list never outgrows the capacity newSM gave it, so the
+// insert does not allocate.
+func (sm *SM) listWarp(wi int) {
+	s := wi % sm.cfg.GPU.NumSchedulers
+	l := sm.order[s]
+	age := sm.age(wi)
+	j := 0
+	for j < len(l) && sm.age(l[j]) < age {
+		j++
+	}
+	sm.order[s] = slices.Insert(l, j, wi)
+}
+
+// age orders warp slots by (CTA seq, warp idx) as one integer, the key of
+// the scheduler age lists.
+func (sm *SM) age(wi int) int {
+	w := &sm.warps[wi]
+	return w.Seq*sm.warpsPerCTA + w.Idx
 }
 
 // retireWarp finalises a finished warp and completes its CTA when it is the
@@ -551,16 +587,54 @@ func (sm *SM) retireWarp(w *Warp, cycle int64) {
 	}
 }
 
-// runLSU retires up to lsuWidth line requests; true if any moved.
-func (sm *SM) runLSU(cycle int64) bool {
+// runLSU retires up to lsuWidth line requests; true if any moved. A head
+// that stalls (MSHR full) blocks the queue and retries next cycle. With
+// park set the LSU parks on it instead: until a fill clears parked, each
+// retry only counts the stall, which is all processOp's retry would do.
+func (sm *SM) runLSU(cycle int64, park bool) bool {
+	if park && sm.parked {
+		sm.l1.Stats.MSHRStalls++
+		return false
+	}
 	n := 0
+	stalled := false
 	for ; n < sm.lsuWidth && sm.lsu.Len() > 0; n++ {
 		if !sm.processOp(sm.lsu.Front(), cycle) {
-			break // head-of-line stall (MSHR full); retry next cycle
+			stalled = true
+			break
 		}
 		sm.lsu.Pop()
 	}
+	sm.parked = park && stalled
 	return n > 0
+}
+
+// CheckLSUPark verifies a parked LSU's verdict: its head must be a load
+// whose line is neither resident nor outstanding in the L1 while every
+// MSHR is taken, the state only a fill can change. A park that outlives
+// a fill, or that was set without a stall, trips it. Read-only; for the
+// invariant checker.
+func (sm *SM) CheckLSUPark() error {
+	if !sm.parked {
+		return nil
+	}
+	if sm.lsu.Len() == 0 {
+		return fmt.Errorf("SM%d: LSU parked with an empty queue", sm.id)
+	}
+	op := sm.lsu.Front()
+	if op.isStore {
+		return fmt.Errorf("SM%d: LSU parked on a store", sm.id)
+	}
+	line := sm.kernel.Address(op.loadIdx, op.ctx, op.req)
+	switch {
+	case sm.l1.Probe(line):
+		return fmt.Errorf("SM%d: LSU parked on line %#x, which is resident", sm.id, uint64(line))
+	case sm.l1.HasOutstanding(line):
+		return fmt.Errorf("SM%d: LSU parked on line %#x, which is outstanding", sm.id, uint64(line))
+	case sm.l1.MSHRFree():
+		return fmt.Errorf("SM%d: LSU parked on line %#x with an MSHR free", sm.id, uint64(line))
+	}
+	return nil
 }
 
 // ctx builds the address-generation context for a warp.
@@ -590,7 +664,8 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 
 	// Structural stall check first so a retried request has no side
 	// effects (probes, monitors, energy counters fire exactly once).
-	if !sm.l1.Probe(line) && !sm.l1.HasOutstanding(line) && !sm.l1.MSHRFree() {
+	resident := sm.l1.Probe(line)
+	if !resident && !sm.l1.HasOutstanding(line) && !sm.l1.MSHRFree() {
 		sm.l1.Stats.MSHRStalls++
 		return false
 	}
@@ -600,8 +675,10 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 	hpc := memtypes.HashPC(l.PC, sm.cfg.LB.HPCBits)
 	extra := sm.pol.ExtraL1Latency(line, cycle)
 
-	// Fast path: resident line.
-	if sm.l1.Probe(line) {
+	// Fast path: resident line. Nothing since the tag probe above writes
+	// the L1: the Probe hook only observes, HashPC is pure, and no
+	// scheme's ExtraL1Latency touches the cache.
+	if resident {
 		sm.l1.Load(line, hpc, true)
 		sm.finishLoad(w, cycle, int64(sm.cfg.GPU.L1HitLatency+extra))
 		sm.Stats.LoadReqs[OutHit]++
@@ -655,7 +732,8 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 // finishLoad resolves one of the warp's outstanding line requests after the
 // given latency.
 func (sm *SM) finishLoad(w *Warp, cycle, latency int64) {
-	if w.memPending > 0 {
+	dec := w.memPending > 0
+	if dec {
 		w.memPending--
 	}
 	// The load's value becomes available `latency` cycles out; consumers
@@ -668,10 +746,16 @@ func (sm *SM) finishLoad(w *Warp, cycle, latency int64) {
 			w.readyAt = t
 		}
 	}
-	// A warp dropping back under its MLP limit becomes eligible again: its
-	// scheduler's wake bound must not lie past its readyAt (see pickWarp).
+	// A warp dropping back under its MLP limit becomes eligible again: it
+	// rejoins its scheduler's age list, and the scheduler's wake bound must
+	// not lie past its readyAt (see pickWarp). Only a real decrement
+	// crosses the limit; a warp already under it is listed.
 	if w.Alive && w.memPending == mlp-1 {
-		if s := warpIndex(sm, w) % sm.cfg.GPU.NumSchedulers; w.readyAt < sm.schedWake[s] {
+		wi := warpIndex(sm, w)
+		if dec {
+			sm.listWarp(wi)
+		}
+		if s := wi % sm.cfg.GPU.NumSchedulers; w.readyAt < sm.schedWake[s] {
 			sm.schedWake[s] = w.readyAt
 		}
 	}
@@ -686,8 +770,12 @@ func (sm *SM) finishLoad(w *Warp, cycle, latency int64) {
 // (register traffic) — no component retains the pointer past those calls.
 func (sm *SM) handleResponse(req *memtypes.Request, cycle int64) {
 	// External input: whatever wake cycle the SM advertised is stale now —
-	// a fill can unstall the LSU head, wake waiters, retire warps.
+	// a fill can unstall the LSU head, wake waiters, retire warps. It is
+	// also the only event that can clear a head-of-line stall: stores queue
+	// behind the head, the L1 is write-no-allocate, Resize runs only at
+	// Attach and no policy hook writes L1 tags or MSHRs.
 	sm.nextWake = 0
+	sm.parked = false
 	switch req.Kind {
 	case memtypes.Load:
 		sm.l1.Fill(req.Line)
