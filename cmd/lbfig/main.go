@@ -46,6 +46,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return cliutil.WrapParse(err)
 	}
+	if err := cliutil.CheckWindows(*windows); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range harness.Experiments() {

@@ -12,6 +12,8 @@ func TestExitCodeUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-fig", "nonsense"},
 		{}, // one of -fig/-all/-list required
+		// A negative run length; -timeout bounds the runs should they start.
+		{"-fig", "fig1", "-windows", "-3", "-timeout", "1ns"},
 		{"-badflag"},
 	} {
 		var stderr bytes.Buffer

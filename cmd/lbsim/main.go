@@ -22,6 +22,7 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/chaos"
 	"github.com/linebacker-sim/linebacker/internal/cliutil"
 	"github.com/linebacker-sim/linebacker/internal/harness"
+	"github.com/linebacker-sim/linebacker/internal/stats"
 )
 
 func main() {
@@ -52,6 +53,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return cliutil.WrapParse(err)
+	}
+	if err := cliutil.CheckWindows(*windows); err != nil {
+		return err
 	}
 	if *cpuProfile != "" || *memProfile != "" {
 		stop, perr := cliutil.StartProfiles(*cpuProfile, *memProfile)
@@ -160,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		linebacker.EnergyPerInstruction(&cfg, res)*1e12)
 	if len(res.Extra) > 0 {
 		fmt.Fprintln(stdout, "scheme metrics:")
-		for _, k := range sortedKeys(res.Extra) {
+		for _, k := range stats.SortedKeys(res.Extra) {
 			fmt.Fprintf(stdout, "  %-24s %.3f\n", k, res.Extra[k])
 		}
 	}
@@ -219,15 +223,22 @@ func runKernel(cfg linebacker.Config, k *linebacker.Kernel, pol linebacker.Polic
 		}
 		return g.Collect(), nil
 	}
+	// windows == 0 runs window by window until the grid completes: a
+	// window that simulates no cycle means it already had.
 	win := int64(cfg.LB.WindowCycles)
 	var prevRetired int64
 	fmt.Fprintln(stdout, "window  IPC      bar")
-	for w := 1; w <= windows; w++ {
-		if _, err := g.RunCtx(ctx, int64(w)*win); err != nil {
+	for w := 1; windows == 0 || w <= windows; w++ {
+		start := g.Cycle()
+		end, err := g.RunCtx(ctx, int64(w)*win)
+		if err != nil {
 			return nil, &harness.RunError{
 				Bench: k.Name, Policy: pol.Name(), Phase: harness.PhaseRun,
 				Cycle: g.Cycle(), Snapshot: g.StateDump(), Err: err,
 			}
+		}
+		if windows == 0 && end == start {
+			break
 		}
 		var retired int64
 		for _, sm := range g.SMs() {
@@ -246,16 +257,3 @@ func runKernel(cfg linebacker.Config, k *linebacker.Kernel, pol linebacker.Polic
 }
 
 func pct(n, d int64) float64 { return 100 * float64(n) / float64(d) }
-
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}

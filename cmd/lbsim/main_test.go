@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,6 +54,45 @@ func TestTimeline(t *testing.T) {
 	if !strings.Contains(out, "window  IPC") {
 		t.Errorf("timeline header missing in:\n%s", out)
 	}
+
+	// -windows 0 runs to completion with or without the timeline: on a
+	// grid small enough to finish, both print the same totals.
+	kernel := filepath.Join(t.TempDir(), "tiny.json")
+	if err := os.WriteFile(kernel, []byte(`{
+	  "name": "tiny",
+	  "loads": [{"pattern": "streaming", "scope": "per-warp"}],
+	  "compute_per_load": 2, "compute_latency": 8,
+	  "iterations": 1, "warps_per_cta": 8, "regs_per_thread": 24, "grid_ctas": 8
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := runCLI(t, "-kernel", kernel, "-scheme", "baseline", "-windows", "0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	timed, err := runCLI(t, "-kernel", kernel, "-scheme", "baseline", "-windows", "0", "-timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"cycles", "instructions"} {
+		want, got := statLine(plain, field), statLine(timed, field)
+		if want == "" || strings.HasSuffix(want, " 0") {
+			t.Fatalf("run to completion printed %q for %s:\n%s", want, field, plain)
+		}
+		if got != want {
+			t.Errorf("-timeline -windows 0 printed %q, want %q", got, want)
+		}
+	}
+}
+
+// statLine returns the first line of a stat block that starts with field.
+func statLine(out, field string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, field+" ") {
+			return line
+		}
+	}
+	return ""
 }
 
 func TestErrors(t *testing.T) {

@@ -25,6 +25,8 @@ func TestExitCodeUsageErrors(t *testing.T) {
 		{"-bench", "NOPE"},
 		{"-scheme", "nonsense"},
 		{"-chaos", "bogus:1"},
+		// A negative run length; -timeout bounds the run should it start.
+		{"-windows", "-3", "-timeout", "1ns"},
 		{"-badflag"},
 	} {
 		if code, _ := exitCode(t, args...); code != 2 {

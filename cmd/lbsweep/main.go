@@ -65,6 +65,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return cliutil.WrapParse(err)
 	}
+	if err := cliutil.CheckWindows(*windows); err != nil {
+		return err
+	}
 	if *cpuProfile != "" || *memProfile != "" {
 		stop, perr := cliutil.StartProfiles(*cpuProfile, *memProfile)
 		if perr != nil {

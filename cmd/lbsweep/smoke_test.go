@@ -20,6 +20,8 @@ func TestExitCodeUsageErrors(t *testing.T) {
 		{"-bench", "NOPE"},
 		{"-mode", "cache", "-scheme", "nonsense"},
 		{"-chaos", "panic:sm"},
+		// A negative run length; -timeout bounds the sweep should it start.
+		{"-mode", "vtt", "-windows", "-3", "-timeout", "1ns"},
 		{"-badflag"},
 	} {
 		var stderr bytes.Buffer

@@ -15,9 +15,9 @@
 //   - floatsum:     order-sensitive float accumulation over map iteration
 //   - nopanic:      panic/log.Fatal/os.Exit in the fault-isolated
 //     simulation packages
-//   - skipcontract: per-cycle state mutators that opted out of the
+//   - skipcontract: per-cycle OnCycle hooks that opted out of the
 //     cycle-skipping event protocol (e.g. an OnCycle override inheriting
-//     BasePolicy's quiescent NextEvent), or whose SkipCycles/Skip does not
+//     BasePolicy's quiescent NextEvent), or whose SkipCycles does not
 //     reproduce every field they write
 //   - errflow:      discarded errors and non-%w wrapping in the layers the
 //     failure model lives in

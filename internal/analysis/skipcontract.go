@@ -9,7 +9,8 @@ import (
 // §11): every component that mutates simulated state on a per-cycle basis
 // and may sleep must advertise its future events and reproduce its
 // per-cycle writes in closed form, or the event-driven engine will sleep
-// through state changes it was never told about.
+// through state changes it was never told about. The sleepers are the SMs,
+// and the per-cycle hook they host is the policy's OnCycle.
 //
 // Two layers are enforced in the simulation-state packages, both over the
 // methods a type DECLARES itself (embedding-promoted methods deliberately do
@@ -20,37 +21,22 @@ import (
 //     scheme embedding BasePolicy, overriding OnCycle with real window logic,
 //     and silently inheriting the base's permanently-quiescent NextEvent: the
 //     promoted methods make it compile, and the first sleeping run jumps
-//     its window boundaries. A type that declares TickEach is a sleeping
-//     engine queue (the DRAM), so it must declare NextEvent: its contents
-//     decide when it may next sleep. DeliverEach queues (the interconnect
-//     links) are drained on every ticked cycle and never sleep, so they owe
-//     no advertisement.
-//   - Closure. When a type declares both members of a (per-cycle mutator,
-//     closed-form skip) pair, every receiver field the mutator writes —
-//     transitively through same-package calls — must also be written by the
-//     skip method, or carry a //lbvet:eventbound justification (on the
-//     field, or on a mutating helper method that only runs at advertised
-//     event boundaries). This is the fused-wake bug class made
-//     un-writable: a policy that flips an issue gate in OnCycle but forgets
-//     it in SkipCycles fails the build instead of waiting for the
-//     event-lower-bound property test to catch it at run time.
-//
-// Checked closure pairs:
-//
-//	OnCycle  / SkipCycles   (sim.SMPolicy per-cycle hook)
-//	TickEach / Skip         (ticked engine queues)
-//	Tick     / Skip
+//     its window boundaries. Engine queues (the DRAM's TickEach, the
+//     interconnect links' DeliverEach) tick on every cycle and never sleep,
+//     so they owe no advertisement.
+//   - Closure. When a type declares both OnCycle and SkipCycles, every
+//     receiver field OnCycle writes — transitively through same-package
+//     calls — must also be written by SkipCycles, or carry a
+//     //lbvet:eventbound justification (on the field, or on a mutating
+//     helper method that only runs at advertised event boundaries). This is
+//     the fused-wake bug class made un-writable: a policy that flips an
+//     issue gate in OnCycle but forgets it in SkipCycles fails the build
+//     instead of waiting for the event-lower-bound property test to catch
+//     it at run time.
 var SkipContract = &Analyzer{
 	Name: "skipcontract",
-	Doc:  "per-cycle mutators that do not declare NextEvent/SkipCycles, or whose writes SkipCycles/Skip does not reproduce",
+	Doc:  "per-cycle OnCycle hooks that do not declare NextEvent/SkipCycles, or whose writes SkipCycles does not reproduce",
 	Run:  runSkipContract,
-}
-
-// skipPairs lists (per-cycle mutator, closed-form skip) method pairs.
-var skipPairs = [][2]string{
-	{"OnCycle", "SkipCycles"},
-	{"TickEach", "Skip"},
-	{"Tick", "Skip"},
 }
 
 func runSkipContract(pass *Pass) {
@@ -107,15 +93,10 @@ func checkDeclared(pass *Pass, recv string, ms map[string]*ast.FuncDecl) {
 				recv)
 		}
 	}
-	if fd, ok := ms["TickEach"]; ok && !hasNext {
-		pass.Reportf(fd.Name.Pos(),
-			"%s declares TickEach but no NextEvent: a ticked queue must advertise when its contents next move",
-			recv)
-	}
 }
 
-// checkClosed enforces the closure layer: every field a per-cycle mutator
-// writes is reproduced by its skip method or justified //lbvet:eventbound.
+// checkClosed enforces the closure layer: every field OnCycle writes is
+// reproduced by SkipCycles or justified //lbvet:eventbound.
 func checkClosed(pass *Pass, recv string, ms map[string]*ast.FuncDecl, sums map[*types.Func]*funcSummary, ebFields map[string]bool) {
 	summary := func(name string) *funcSummary {
 		fd := ms[name]
@@ -125,40 +106,27 @@ func checkClosed(pass *Pass, recv string, ms map[string]*ast.FuncDecl, sums map[
 		obj, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
 		return sums[obj]
 	}
-	// Dedupe by (skip method, field): TickEach and Tick share a Skip, and a
-	// field both forget should be reported once.
-	reported := map[[2]string]bool{}
-	for _, pair := range skipPairs {
-		mut, skip := summary(pair[0]), summary(pair[1])
-		if mut == nil || skip == nil || mut.eventBound {
+	mut, skip := summary("OnCycle"), summary("SkipCycles")
+	if mut == nil || skip == nil || mut.eventBound || skip.closedRecvW {
+		return
+	}
+	if mut.boundedRecvW {
+		pass.Reportf(mut.decl.Name.Pos(),
+			"%s.OnCycle writes through the whole receiver, so its write set cannot be closed against SkipCycles; replace the opaque write or restructure it into named-field writes",
+			recv)
+		return
+	}
+	for f, origin := range mut.boundedFieldW {
+		if _, ok := skip.closedFieldW[f]; ok || ebFields[f] {
 			continue
 		}
-		if mut.boundedRecvW && !skip.closedRecvW {
-			pass.Reportf(mut.decl.Name.Pos(),
-				"%s.%s writes through the whole receiver, so its write set cannot be closed against %s; replace the opaque write or restructure it into named-field writes",
-				recv, pair[0], pair[1])
-			continue
+		via := ""
+		if origin.via != "" {
+			via = " (via " + origin.via + ")"
 		}
-		if skip.closedRecvW {
-			continue
-		}
-		for f, origin := range mut.boundedFieldW {
-			if _, ok := skip.closedFieldW[f]; ok || ebFields[f] {
-				continue
-			}
-			key := [2]string{pair[1], f}
-			if reported[key] {
-				continue
-			}
-			reported[key] = true
-			via := ""
-			if origin.via != "" {
-				via = " (via " + origin.via + ")"
-			}
-			pass.Reportf(origin.pos,
-				"%s.%s writes field %q%s but %s does not reproduce it: a skipped span silently loses the update — write it in %s or justify the field or mutating helper with //lbvet:eventbound (DESIGN.md §11)",
-				recv, pair[0], f, via, pair[1], pair[1])
-		}
+		pass.Reportf(origin.pos,
+			"%s.OnCycle writes field %q%s but SkipCycles does not reproduce it: a skipped span silently loses the update — write it in SkipCycles or justify the field or mutating helper with //lbvet:eventbound (DESIGN.md §11)",
+			recv, f, via)
 	}
 }
 

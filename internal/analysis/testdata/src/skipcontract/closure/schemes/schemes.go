@@ -91,7 +91,8 @@ func (c *closed) SkipCycles(from, to int64) {
 	c.busy += span
 }
 
-// tickedQueue covers the TickEach/Skip pair the engine queues use.
+// tickedQueue is a TickEach queue whose Skip reproduces only some of its
+// writes. Only OnCycle and SkipCycles form a checked pair, so it is clean.
 type tickedQueue struct {
 	tokens float64
 	heads  int
@@ -99,7 +100,7 @@ type tickedQueue struct {
 
 func (q *tickedQueue) TickEach(cycle int64, fn func(int64)) {
 	q.tokens++
-	q.heads++ // want `tickedQueue.TickEach writes field "heads" but Skip does not reproduce it`
+	q.heads++
 }
 
 func (q *tickedQueue) NextEvent(now int64) (int64, bool) { return now + 1, true }

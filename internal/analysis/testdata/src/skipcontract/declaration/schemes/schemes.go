@@ -50,13 +50,13 @@ func (a *accrualOnly) OnCycle(int64) { // want `accrualOnly declares OnCycle but
 
 func (a *accrualOnly) SkipCycles(from, to int64) { a.idle += to - from }
 
-// queue mimics the DRAM's ticked-queue shape without the advertisement
-// half of the protocol.
+// queue mimics the DRAM: a TickEach queue ticked on every cycle, which
+// never sleeps and so owes no NextEvent: clean.
 type queue struct {
 	items []int64
 }
 
-func (q *queue) TickEach(cycle int64, fn func(int64)) { // want `queue declares TickEach but no NextEvent`
+func (q *queue) TickEach(cycle int64, fn func(int64)) {
 	for _, it := range q.items {
 		fn(it)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestGoldenMetricsSkipMatrix is the bit-identity acceptance matrix of the
-// event-driven engine's per-SM and DRAM sleeping (DESIGN.md §10): the full
+// event-driven engine's per-SM sleeping (DESIGN.md §10): the full
 // golden capture — every Table 2 benchmark under {baseline, lb} — must
 // equal the committed snapshot in both run modes. The snapshot was
 // recorded by a strict engine, so any event advertised too late (a slept

@@ -30,6 +30,15 @@ func Usagef(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrUsage, fmt.Sprintf(format, args...))
 }
 
+// CheckWindows rejects a negative -windows run length as a usage error.
+// The run length counts monitoring windows; 0 lifts the cap.
+func CheckWindows(windows int) error {
+	if windows < 0 {
+		return Usagef("-windows %d: want a window count >= 0", windows)
+	}
+	return nil
+}
+
 // WrapParse classifies a flag.FlagSet.Parse error: -h/-help passes through
 // (Exit turns it into success), anything else is a usage error. The flag
 // package has already printed the message and usage text, so the wrapper

@@ -186,13 +186,13 @@ type Config struct {
 	// is enabled (0 = every cycle). Larger intervals trade detection
 	// latency for speed; window-boundary checking uses LB.WindowCycles.
 	CheckEvery int
-	// Strict disables per-SM and DRAM sleeping: every component ticks in
-	// every cycle, exactly as the pre-skip engine did. The default (false)
-	// lets an SM or the DRAM sleep through its provably idle cycles,
-	// applying their per-cycle accruals in closed form. Results are
-	// bit-identical in both modes — the field is deliberately excluded
-	// from the harness memo fingerprint, and a test matrix proves both
-	// properties (DESIGN.md §10).
+	// Strict disables per-SM sleeping: every SM ticks in every cycle,
+	// exactly as the pre-skip engine did. The default (false) lets an SM
+	// sleep through its provably idle cycles, applying its per-cycle
+	// accruals in closed form; the rest of the machine ticks in every
+	// cycle in both modes. Results are bit-identical in both modes — the
+	// field is deliberately excluded from the harness memo fingerprint,
+	// and a test matrix proves both properties (DESIGN.md §10).
 	Strict bool
 	// Chaos configures deterministic fault injection (internal/chaos).
 	Chaos Chaos

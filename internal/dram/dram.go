@@ -124,23 +124,19 @@ type DRAM struct {
 
 	// chWake[ch] is a cycle before which channel ch's window holds no
 	// ready bank: a window scan that finds none (with tokens to spare)
-	// records the window's earliest bank readyAt, and schedule answers
-	// false without scanning until then. It is exact because a channel's
+	// records the window's earliest bank readyAt, and schedule returns
+	// without scanning until then. It is exact because a channel's
 	// banks are written only by its own schedule and its window changes
 	// only by an Enqueue (which resets the bound to 0) or by its own
-	// dequeue. An engine cache, not simulated state: Skip and the state
-	// fingerprints ignore it.
+	// dequeue. An engine cache, not simulated state: the state fingerprints
+	// ignore it.
 	chWake []int64
 
 	bytesPerCycle float64
 	tokens        float64
 	maxTokens     float64
 
-	// inflight changes only when schedule issues a request or a completion
-	// pops at its recorded done cycle — both cycles NextEvent advertises,
-	// so a skipped span never moves the heap and Skip owes nothing here.
-	//
-	//lbvet:eventbound
+	// inflight holds the scheduled requests until their done cycle.
 	inflight doneHeap
 
 	// stalled freezes the model (chaos injection): Tick neither schedules
@@ -243,155 +239,24 @@ func (d *DRAM) Stalled() bool { return d.stalled }
 
 // TickEach advances one core cycle and hands every request whose data
 // transfer completes at this cycle to fn, in completion order. This is the
-// engine-facing path: it allocates nothing. The return value reports
-// whether the tick changed scheduling state (issued a bank access or
-// completed a transfer) — an idle tick did nothing Skip's closed forms
-// don't reproduce, so the engine may cache NextEvent's answer after one.
-func (d *DRAM) TickEach(cycle int64, fn func(*memtypes.Request)) bool {
+// engine-facing path: it allocates nothing.
+func (d *DRAM) TickEach(cycle int64, fn func(*memtypes.Request)) {
 	if d.stalled {
-		return false
+		return
 	}
 	d.tokens += d.bytesPerCycle
 	if d.tokens > d.maxTokens {
 		d.tokens = d.maxTokens
 	}
-	active := false
 	// Schedule new work per channel.
 	for ch := 0; ch < d.channels; ch++ {
-		if d.schedule(ch, cycle) {
-			active = true
-		}
+		d.schedule(ch, cycle)
 	}
 	if len(d.inflight) > 0 {
 		d.Stats.BusyCycles++
 	}
 	for len(d.inflight) > 0 && d.inflight[0].done <= cycle {
 		fn(d.inflight.popRoot().req)
-		active = true
-	}
-	return active
-}
-
-// NextEvent advertises the earliest cycle >= now at which the model can
-// change simulated state if ticked every cycle (the event-driven engine's
-// component protocol; see sim/event.go): the earliest in-flight completion,
-// or the earliest cycle at which some channel could schedule queued work —
-// the first cycle where the bandwidth tokens reach one line AND a bank in
-// the channel's scheduling window is ready. Token refills and the busy-
-// cycle counter are not events; Skip reproduces them in closed form. A
-// stalled (chaos-frozen) model is quiescent by construction.
-//
-// The token horizon emulates TickEach's refill-then-clamp float arithmetic
-// step for step, so the advertised cycle is exact, never late: during a
-// skipped span nothing is scheduled or completed, so the token trajectory
-// is pure refills — at most a handful before the burst cap clamps.
-//
-// A channel whose chWake lies past now reuses it as its window's earliest
-// bank readyAt instead of rescanning. Such a bound was set by a scan of
-// the current window: an enqueue since would have zeroed it, and a
-// dequeue since would have happened at or past the bound, yet before now.
-// Only the channel's own dequeues move its banks. This needs now to lie
-// after the last tick, which is what the engine asks for.
-func (d *DRAM) NextEvent(now int64) (int64, bool) {
-	if d.stalled {
-		return 0, false
-	}
-	best, any := int64(0), false
-	merge := func(c int64) {
-		if c < now {
-			c = now
-		}
-		if !any || c < best {
-			best, any = c, true
-		}
-	}
-	if len(d.inflight) > 0 {
-		merge(d.inflight[0].done)
-	}
-	if d.QueueLen() > 0 {
-		if delay, ok := d.tokenDelay(); ok {
-			tokenReady := now + delay
-			for ch := 0; ch < d.channels; ch++ {
-				q := d.waiting(ch)
-				if len(q) == 0 {
-					continue
-				}
-				bankReady := d.chWake[ch]
-				if bankReady <= now {
-					bankReady = d.windowReady(q)
-				}
-				c := tokenReady
-				if bankReady > c {
-					c = bankReady
-				}
-				merge(c)
-			}
-		}
-	}
-	return best, any
-}
-
-// schedWindow is how many of a channel's oldest queued requests the
-// FR-FCFS scheduler considers each cycle.
-const schedWindow = 16
-
-// windowReady returns the earliest readyAt among the banks of a channel's
-// scheduling window; q is the channel's non-empty queue.
-func (d *DRAM) windowReady(q []qent) int64 {
-	ready := d.banks[q[0].bank].readyAt
-	for _, e := range q[1:min(len(q), schedWindow)] {
-		ready = min(ready, d.banks[e.bank].readyAt)
-	}
-	return ready
-}
-
-// tokenDelay returns the number of cycles until the bandwidth tokens first
-// cover one line, emulating TickEach's refill exactly (the tick's refill
-// happens before scheduling, so a delay of 0 means the very next tick can
-// schedule). ok == false means the burst cap is below one line and the
-// model can never schedule — a degenerate configuration that livelocks the
-// strict engine identically.
-func (d *DRAM) tokenDelay() (int64, bool) {
-	tok := d.tokens
-	for k := int64(0); ; k++ {
-		tok += d.bytesPerCycle
-		if tok > d.maxTokens {
-			tok = d.maxTokens
-		}
-		if tok >= memtypes.LineSize {
-			return k, true
-		}
-		if tok == d.maxTokens {
-			return 0, false
-		}
-	}
-}
-
-// Skip advances the model over the span [from, to) without ticking,
-// reproducing exactly what that many TickEach calls would have done given
-// that nothing is scheduled or completed in the span (the engine only skips
-// up to the advertised NextEvent): the bandwidth tokens refill with the
-// identical float operations — the loop terminates early once the burst cap
-// clamps, a fixed point of refill-then-clamp — and the busy counter accrues
-// the span when requests are in service. A stalled model is frozen, exactly
-// as TickEach leaves it.
-func (d *DRAM) Skip(from, to int64) {
-	if d.stalled {
-		return
-	}
-	span := to - from
-	for i := int64(0); i < span; i++ {
-		d.tokens += d.bytesPerCycle
-		if d.tokens > d.maxTokens {
-			d.tokens = d.maxTokens
-			break
-		}
-		if d.tokens == d.maxTokens {
-			break
-		}
-	}
-	if len(d.inflight) > 0 {
-		d.Stats.BusyCycles += span
 	}
 }
 
@@ -404,23 +269,21 @@ func (d *DRAM) Tick(cycle int64) []*memtypes.Request {
 	return out
 }
 
+// schedWindow is how many of a channel's oldest queued requests the
+// FR-FCFS scheduler considers each cycle.
+const schedWindow = 16
+
 // schedule starts at most one request on the channel this cycle (the data
-// bus is shared), preferring the oldest row hit (FR-FCFS-lite); true if it
-// issued one. It mutates queue, bank and heap state only when it issues,
-// and NextEvent advertises the first cycle any channel can issue — across
-// a skipped span every schedule call would have returned false having
-// written nothing, so Skip owes none of these writes. The one other write,
-// the channel's chWake bound after a scan that finds no ready bank, is an
-// engine cache whose answers equal the scan's (see chWake).
-//
-//lbvet:eventbound
-func (d *DRAM) schedule(ch int, cycle int64) bool {
+// bus is shared), preferring the oldest row hit (FR-FCFS-lite). A scan that
+// finds no ready bank records the channel's chWake bound instead, an engine
+// cache whose answers equal the scan's.
+func (d *DRAM) schedule(ch int, cycle int64) {
 	if cycle < d.chWake[ch] {
-		return false
+		return
 	}
 	q := d.waiting(ch)
 	if len(q) == 0 || d.tokens < memtypes.LineSize {
-		return false
+		return
 	}
 	// The scheduler inspects a bounded window of the queue head (a real
 	// controller's transaction queue is finite); this also bounds the
@@ -450,7 +313,7 @@ func (d *DRAM) schedule(ch int, cycle int64) bool {
 		}
 		if pick < 0 {
 			d.chWake[ch] = wake
-			return false
+			return
 		}
 	}
 	req, row := q[pick].req, q[pick].row
@@ -511,5 +374,4 @@ func (d *DRAM) schedule(ch int, cycle int64) bool {
 			d.Stats.RegRestoreBytes += memtypes.LineSize
 		}
 	}
-	return true
 }

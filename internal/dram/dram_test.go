@@ -139,15 +139,11 @@ func TestChannelMapping(t *testing.T) {
 // enqueues and checks the channel bound before every tick: while a
 // channel's chWake lies ahead of the cycle, no bank in its scheduling
 // window may be ready, so the skipped window scan could not have issued.
-// After every tick it also checks that NextEvent, which reuses a bound
-// lying past its argument, advertises what a fresh scan of every window
-// finds (every bound zeroed). It requires the bound to skip some scans and
-// to stand in for some of NextEvent's, or the checks are vacuous.
+// It requires the bound to skip some scans, or the check is vacuous.
 func TestChannelWakeMatchesScan(t *testing.T) {
 	d := newDRAM()
 	rng := uint64(7)
-	skipped, reused := 0, 0
-	bounds := make([]int64, len(d.chWake))
+	skipped := 0
 	for cyc := int64(0); cyc < 20_000; cyc++ {
 		for n := 0; n < 3; n++ {
 			rng ^= rng << 13
@@ -171,28 +167,9 @@ func TestChannelWakeMatchesScan(t *testing.T) {
 			}
 		}
 		d.Tick(cyc)
-
-		now := cyc + 1
-		got, gotOK := d.NextEvent(now)
-		copy(bounds, d.chWake)
-		clear(d.chWake)
-		want, wantOK := d.NextEvent(now)
-		copy(d.chWake, bounds)
-		if got != want || gotOK != wantOK {
-			t.Fatalf("cycle %d: NextEvent(%d) = %d, %v with the channel bounds %v, %d, %v with fresh window scans",
-				cyc, now, got, gotOK, bounds, want, wantOK)
-		}
-		for ch, b := range bounds {
-			if b > now && len(d.waiting(ch)) > 0 {
-				reused++
-			}
-		}
 	}
 	if skipped == 0 {
 		t.Fatal("the channel bound never skipped a scan")
 	}
-	if reused == 0 {
-		t.Fatal("NextEvent never reused a channel bound")
-	}
-	t.Logf("%d channel scans skipped, %d NextEvent window scans replaced by the bound; %d reads", skipped, reused, d.Stats.Reads)
+	t.Logf("%d channel scans skipped; %d reads", skipped, d.Stats.Reads)
 }

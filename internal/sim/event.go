@@ -1,38 +1,36 @@
 package sim
 
-// This file is the engine's one skip mechanism: per-SM and DRAM sleeping
-// (DESIGN.md §10). The engine ticks every cycle, but each SM and the DRAM
-// advertise the earliest future cycle at which they can change simulated
-// state; until then their tick is replaced by the few cycle-proportional
-// accumulators it would have applied (scheduler idle counts, head-of-line
-// MSHR stalls, DRAM busy/bandwidth tokens, policy byte-cycle integrals),
-// in closed form. An SM's advertisement is the wake stepSM computes after
-// each tick; the DRAM's is dram.NextEvent. An SM that ticks keeps a
-// second, finer sleeper in its LSU: a sleeping engine parks the LSU on a
-// head-of-line MSHR stall (SM.parked) until the next response, so even a
-// tick that must run for its schedulers' sake does not re-derive the
-// stall. The contract that keeps sleeping observably invisible:
+// This file is the engine's one skip mechanism: per-SM sleeping (DESIGN.md
+// §10). The engine ticks every cycle, but each SM advertises the earliest
+// future cycle at which it can change simulated state; until then its tick
+// is replaced by the few cycle-proportional accumulators it would have
+// applied (scheduler idle counts, head-of-line MSHR stalls, policy
+// byte-cycle integrals), in closed form. An SM's advertisement is the wake
+// stepSM computes after each tick. The dispatcher, the interconnect, the
+// L2 and the DRAM never sleep. An SM that ticks keeps a second, finer
+// sleeper in its LSU: a sleeping engine parks the LSU on a head-of-line
+// MSHR stall (SM.parked) until the next response, so even a tick that must
+// run for its schedulers' sake does not re-derive the stall. The contract
+// that keeps sleeping observably invisible:
 //
 //   - An advertisement is the earliest cycle after the tick at which the
-//     component might change state if the engine ticked it every cycle;
+//     SM might change state if the engine ticked it every cycle;
 //     neverWake means it never will (quiescent until some external input —
-//     a response, a CTA launch, a DRAM enqueue — re-arms it). A policy's
-//     NextEvent(now) answers the same question for the policy alone, with
-//     ok == false for never. Advertising the next cycle keeps the
-//     component awake.
+//     a response or a CTA launch — re-arms it). A policy's NextEvent(now)
+//     answers the same question for the policy alone, with ok == false for
+//     never. Advertising the next cycle keeps the SM awake.
 //   - Advertising too early is always safe (the engine ticks a cycle in
 //     which nothing happens); advertising too late is an engine bug — the
 //     event-lower-bound property test in event_test.go instruments a
-//     strict run to catch it at the source, per component, against the
-//     very values the sleeping engine reads.
-//   - sleepCycle, SMPolicy.SkipCycles and dram.Skip must reproduce the
-//     per-cycle accumulators of a slept cycle bit-identically to ticking
-//     (all of them add integer-valued float64 terms or plain integers, so
-//     the closed forms are exact; see DESIGN.md §10).
+//     strict run to catch it at the source, per SM, against the very
+//     values the sleeping engine reads.
+//   - sleepCycle and SMPolicy.SkipCycles must reproduce the per-cycle
+//     accumulators of a slept cycle bit-identically to ticking (all of them
+//     add integer-valued float64 terms or plain integers, so the closed
+//     forms are exact; see DESIGN.md §10).
 
-// neverWake marks a sleeper with no self-driven future event: an SM stays
-// asleep until a response delivery or CTA launch resets nextWake, the DRAM
-// until an enqueue sets dramDirty.
+// neverWake marks an SM with no self-driven future event: it stays asleep
+// until a response delivery or CTA launch resets nextWake.
 const neverWake = int64(1)<<62 - 1
 
 // stepSM advances one SM by one cycle. With per-SM sleeping enabled and

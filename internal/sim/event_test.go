@@ -5,72 +5,63 @@ import (
 	"testing"
 
 	"github.com/linebacker-sim/linebacker/internal/config"
-	"github.com/linebacker-sim/linebacker/internal/dram"
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
 // eventBoundChecker proves the event-lower-bound half of the sleeping
-// contract (DESIGN.md §10) from inside a strict run, per sleeper: each SM
-// against the wake stepSM computed after its tick (sm.nextWake, which the
-// strict engine computes exactly as the sleeping one does), and the DRAM
-// against dram.NextEvent. After every tick of a sleeper it fingerprints
-// the sleeper's state that is NOT a per-cycle accrual, and while the
-// sleeper's last advertisement E lies in the future it demands the
-// fingerprint stay frozen until E. A change at any cycle < E means the
-// component advertised its event too late — the exact bug class that
-// would make a sleeping run diverge from this strict one.
+// contract (DESIGN.md §10) from inside a strict run, per SM, against the
+// wake stepSM computed after its tick (sm.nextWake, which the strict
+// engine computes exactly as the sleeping one does). After every tick it
+// fingerprints the SM's state that is NOT a per-cycle accrual, and while
+// the SM's last advertisement E lies in the future it demands the
+// fingerprint stay frozen until E. A change at any cycle < E means the SM
+// advertised its event too late — the exact bug class that would make a
+// sleeping run diverge from this strict one.
 //
-// It is a FaultInjector, so its Stage hook observes each sleeper right
-// after the engine phase that ticks it: an SM at "l2" (its phase runs from
-// "sm" to "l2"), the DRAM at "response" (its tick runs from "dram" to
-// "response"). An injector only disables sleeping, and the run is strict
-// anyway. External inputs re-arm a sleeper's bound the way production
-// does: a CTA launch or response delivery resets the SM's wake to 0, and
-// an enqueue sets dramDirty. A wake of 0 is also what stepSM computes
-// after a tick whose policy opened a gate, so the checker sets the wake
-// to neverWake after each observation (strict runs never read it): a 0
-// seen before the next SM phase can then only be a reset. A state change
-// that bypassed those signals shows up as a violation.
+// It is a FaultInjector, so its Stage hook observes each SM right after
+// the engine phase that ticks it: at "l2" (the SM phase runs from "sm" to
+// "l2"). An injector only disables sleeping, and the run is strict anyway.
+// External inputs re-arm an SM's bound the way production does: a CTA
+// launch or response delivery resets its wake to 0. A wake of 0 is also
+// what stepSM computes after a tick whose policy opened a gate, so the
+// checker sets the wake to neverWake after each observation (strict runs
+// never read it): a 0 seen before the next SM phase can then only be a
+// reset. A state change that bypassed those signals shows up as a
+// violation.
 //
-// The exempt accruals (scheduler IssueIdle, L1 MSHRStalls, DRAM busy and
-// bandwidth-token state, policy byte-cycle integrals) are the quantities
-// sleepCycle, SMPolicy.SkipCycles and dram.Skip apply in closed form;
-// everything else must be event-driven.
+// The exempt accruals (scheduler IssueIdle, L1 MSHRStalls, policy
+// byte-cycle integrals) are the quantities sleepCycle and
+// SMPolicy.SkipCycles apply in closed form; everything else must be
+// event-driven.
 type eventBoundChecker struct {
-	sms       []sleeperBound
-	dram      sleeperBound
-	checks    int64
-	smSpans   int64 // SM advertisements with until > now+1 (real sleepable spans)
-	dramSpans int64
-	err       error
+	sms     []sleeperBound
+	checks  int64
+	smSpans int64 // advertisements with until > now+1 (real sleepable spans)
+	err     error
 }
 
-// sleeperBound is one sleeper's fingerprint after its last tick and the
-// cycle before which that fingerprint must not change.
+// sleeperBound is one SM's fingerprint after its last tick and the cycle
+// before which that fingerprint must not change.
 type sleeperBound struct {
 	fp    uint64
 	until int64
 }
 
-// observe checks one sleeper right after its tick at cycle cyc and re-arms
-// its bound from next when the state moved or the bound expired. span
-// reports an advertisement that covers more than one cycle; err, naming
-// the oracle, reports a state change before the advertised event.
-func (b *sleeperBound) observe(oracle string, fp uint64, cyc int64, next func(int64) (int64, bool)) (span bool, err error) {
+// observe checks one SM right after its tick at cycle cyc and re-arms its
+// bound from wake, the nextWake stepSM just computed, when the state moved
+// or the bound expired. span reports an advertisement that covers more
+// than one cycle; err reports a state change before the advertised event.
+func (b *sleeperBound) observe(fp uint64, cyc, wake int64) (span bool, err error) {
 	if fp != b.fp && cyc < b.until {
 		adv := fmt.Sprintf("no event before cycle %d", b.until)
 		if b.until == neverWake {
 			adv = "no event at all"
 		}
-		return false, fmt.Errorf("changed state at cycle %d, but %s advertised %s", cyc, oracle, adv)
+		return false, fmt.Errorf("changed state at cycle %d, but stepSM advertised %s", cyc, adv)
 	}
 	if fp != b.fp || cyc+1 >= b.until {
-		e, ok := next(cyc + 1)
-		if !ok {
-			e = neverWake
-		}
-		b.until = e
-		span = e > cyc+2
+		b.until = wake
+		span = wake > cyc+2
 	}
 	b.fp = fp
 	return span, nil
@@ -93,8 +84,7 @@ func (c *eventBoundChecker) Stage(g *GPU, stage string, cyc int64) {
 	case "l2":
 		c.checks++
 		for i, sm := range g.sms {
-			wake := func(int64) (int64, bool) { return sm.nextWake, true }
-			span, err := c.sms[i].observe("stepSM", smFingerprint(sm), cyc, wake)
+			span, err := c.sms[i].observe(smFingerprint(sm), cyc, sm.nextWake)
 			if err != nil {
 				c.err = fmt.Errorf("SM %d %w", i, err)
 				return
@@ -103,19 +93,6 @@ func (c *eventBoundChecker) Stage(g *GPU, stage string, cyc int64) {
 				c.smSpans++
 			}
 			sm.nextWake = neverWake
-		}
-	case "dram":
-		if g.dramDirty { // an enqueue in this cycle's l2 stage
-			c.dram.until = cyc
-		}
-	case "response":
-		span, err := c.dram.observe("dram.NextEvent", dramFingerprint(g.dram), cyc, g.dram.NextEvent)
-		if err != nil {
-			c.err = fmt.Errorf("DRAM %w", err)
-			return
-		}
-		if span {
-			c.dramSpans++
 		}
 	}
 }
@@ -169,20 +146,6 @@ func smFingerprint(sm *SM) uint64 {
 		h.mix(int64(w.pcIdx))
 		h.mix(w.readyAt)
 		h.mix(int64(w.memPending))
-	}
-	return uint64(h)
-}
-
-// dramFingerprint digests the DRAM's queues and event counters;
-// BusyCycles and the bandwidth tokens are its per-cycle accruals.
-func dramFingerprint(d *dram.DRAM) uint64 {
-	h := newFingerprint()
-	h.mix(int64(d.QueueLen()))
-	h.mix(int64(d.Inflight()))
-	ds := d.Stats
-	for _, v := range []int64{ds.Reads, ds.Writes, ds.BytesRead, ds.BytesWritten,
-		ds.RegBackupBytes, ds.RegRestoreBytes, ds.RowHits, ds.RowMisses} {
-		h.mix(v)
 	}
 	return uint64(h)
 }
@@ -269,9 +232,9 @@ var pulsePolicies = map[string]pulsePolicy{
 }
 
 // TestEventLowerBound runs strict simulations with the lower-bound checker
-// installed: every event an SM or the DRAM advertises must be a true lower
-// bound on its next state change. Covers a memory-bound benchmark under the
-// stateless baseline (warp readyAt / MSHR / DRAM events) and under a
+// installed: every event an SM advertises must be a true lower bound on
+// its next state change. Covers a memory-bound benchmark under the
+// stateless baseline (warp readyAt / MSHR events) and under a
 // window-pulsed gating policy in both NextEvent forms (the policy merge
 // path, and gates opened in OnCycle).
 func TestEventLowerBound(t *testing.T) {
@@ -307,12 +270,10 @@ func TestEventLowerBound(t *testing.T) {
 				if chk.checks == 0 {
 					t.Fatal("checker never ran")
 				}
-				if chk.smSpans == 0 || chk.dramSpans == 0 {
-					t.Errorf("multi-cycle advertisements: %d SM, %d DRAM; a zero count leaves that sleeper's property vacuous",
-						chk.smSpans, chk.dramSpans)
+				if chk.smSpans == 0 {
+					t.Error("no multi-cycle SM advertisement; the property is vacuous")
 				}
-				t.Logf("checked %d cycles; multi-cycle advertisements: %d SM, %d DRAM",
-					chk.checks, chk.smSpans, chk.dramSpans)
+				t.Logf("checked %d cycles; %d multi-cycle SM advertisements", chk.checks, chk.smSpans)
 			})
 		}
 	}

@@ -52,20 +52,11 @@ type GPU struct {
 	checker CycleChecker
 	faults  FaultInjector
 
-	// smSleep enables per-SM and DRAM sleeping (see stepSM in event.go).
-	// RunCtx turns it on unless the run is strict or has a fault
-	// injector: an injector may mutate machine state (SM counters, the
-	// DRAM's stall flag) behind the SM and DRAM wake caches, so a fault
-	// run ticks every SM and the DRAM in every cycle.
+	// smSleep enables per-SM sleeping (see stepSM in event.go). RunCtx
+	// turns it on unless the run is strict or has a fault injector: an
+	// injector may mutate SM state behind the SMs' wake caches, so a
+	// fault run ticks every SM in every cycle.
 	smSleep bool
-
-	// dramWake caches the DRAM's next event cycle, mirroring the per-SM
-	// wake cache: while the clock is below it (and nothing new was
-	// enqueued — dramDirty), the dram stage applies Skip's closed-form
-	// token/busy accruals instead of running the full scheduler scan.
-	// Only consulted when smSleep is on.
-	dramWake  int64
-	dramDirty bool
 
 	// progress publishes the cumulative committed-instruction count at
 	// RunCtx checkpoints. It is the only GPU state a harness watchdog may
@@ -191,8 +182,8 @@ const checkpointCycles = 8192
 // and StateDump remain safe, but the run must not be resumed.
 //
 // The loop ticks every cycle. Unless cfg.Strict is set or a fault injector
-// is attached, SMs and the DRAM sleep through their provably idle cycles
-// (event.go); results and state dumps are bit-identical to strict mode
+// is attached, SMs sleep through their provably idle cycles (event.go);
+// results and state dumps are bit-identical to strict mode
 // (test-enforced, DESIGN.md §10). A livelocked machine keeps ticking with
 // a flat committed-instruction count, so an external forward-progress
 // watchdog still trips.
@@ -284,29 +275,10 @@ func (g *GPU) Step() {
 	g.toL2.DeliverEach(cyc, func(req *memtypes.Request) { g.l2Queue.Push(req) })
 	g.serviceL2(cyc)
 
-	// DRAM. With sleeping enabled and no event due (and no enqueue this
-	// cycle), the tick reduces to the closed-form token refill and busy
-	// accrual — provably what the full tick would have done (DESIGN.md
-	// §10) — and the scheduler scan is elided.
+	// DRAM. It ticks every cycle; an idle channel costs one compare
+	// against its chWake bound (DESIGN.md §10).
 	g.stage("dram", cyc)
-	if g.smSleep && cyc < g.dramWake && !g.dramDirty {
-		g.dram.Skip(cyc, cyc+1)
-	} else {
-		active := g.dram.TickEach(cyc, func(req *memtypes.Request) { g.dramComplete(req, cyc) })
-		g.dramDirty = false
-		if g.smSleep {
-			if active {
-				// A scheduling or completing DRAM is almost always about
-				// to do it again; probing it would cost as much as the
-				// tick it tries to save.
-				g.dramWake = cyc + 1
-			} else if e, ok := g.dram.NextEvent(cyc + 1); ok {
-				g.dramWake = e
-			} else {
-				g.dramWake = neverWake
-			}
-		}
-	}
+	g.dram.TickEach(cyc, func(req *memtypes.Request) { g.dramComplete(req, cyc) })
 
 	// Responses arriving at SMs.
 	g.stage("response", cyc)
@@ -350,21 +322,13 @@ func (g *GPU) serviceL2(cyc int64) {
 	}
 }
 
-// enqueueDRAM hands a request to the DRAM and marks the wake cache dirty:
-// a fresh arrival can create a schedule opportunity earlier than the last
-// advertised event, so the next dram stage must run the full tick.
-func (g *GPU) enqueueDRAM(req *memtypes.Request) {
-	g.dram.Enqueue(req)
-	g.dramDirty = true
-}
-
 // l2Access performs one L2 access; false means stall.
 func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 	switch req.Kind {
 	case memtypes.RegBackup, memtypes.RegRestore:
 		// Register backup space is a dedicated off-chip region; it does not
 		// pollute the L2.
-		g.enqueueDRAM(req)
+		g.dram.Enqueue(req)
 		return true
 	case memtypes.Store:
 		// Death point: the L2 is write-allocate, so a store retires here.
@@ -374,7 +338,7 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 		// objects to their origin keeps every per-SM free list balanced.
 		res, ev, evicted := g.l2.Store(req.Line)
 		if evicted && ev.Dirty {
-			g.enqueueDRAM(g.writeback(ev.Line, req.SM))
+			g.dram.Enqueue(g.writeback(ev.Line, req.SM))
 		}
 		_ = res
 		g.sms[req.SM].pool.Put(req)
@@ -382,7 +346,7 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 	case memtypes.Load:
 		res, ev, evicted := g.l2.Load(req.Line, 0, true)
 		if evicted && ev.Dirty {
-			g.enqueueDRAM(g.writeback(ev.Line, req.SM))
+			g.dram.Enqueue(g.writeback(ev.Line, req.SM))
 		}
 		switch res {
 		case cache.Hit:
@@ -390,7 +354,7 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 		case cache.HitPending:
 			g.l2Waiters[req.Line] = append(g.l2Spare.list(g.l2Waiters, req.Line), req)
 		case cache.Miss, cache.MissNoAlloc:
-			g.enqueueDRAM(req)
+			g.dram.Enqueue(req)
 		case cache.Stall:
 			return false
 		}

@@ -24,7 +24,7 @@ import (
 // run to strict speed, which shows up as a ratio near or below 1.0 AND a
 // small slept share. The ratio is the median over five interleaved
 // strict/sleeping pairs, each run starting from a fresh garbage
-// collection: the margin is about 1.35x on a 2-vCPU host. Strict mode
+// collection: the margin is about 1.5x on a 2-vCPU host. Strict mode
 // answers idle scheduler calls from the issue stage's wake bound in O(1)
 // too, so much of the margin is the LSU parking only the sleeping engine
 // does; without it the margin was about 1.15x and single pairs read as
