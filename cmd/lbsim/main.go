@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
 	"time"
 
 	"github.com/linebacker-sim/linebacker"
@@ -171,37 +170,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runKernel runs with optional per-window IPC timeline output and optional
-// trace recording. The run executes under a recovery barrier: a panic
-// (chaos-injected or an engine bug) comes back as a *harness.RunError with
-// the machine-state snapshot, and the process exits 1 instead of crashing.
+// runKernel runs the kernel through the harness run engine, which owns
+// the fault barrier: a panic (chaos-injected or an engine bug) or an
+// exceeded -timeout comes back as a *harness.RunError with the
+// machine-state snapshot, and the process exits 1 instead of crashing.
+// lbsim adds only the trace recorder and the timeline.
 func runKernel(cfg linebacker.Config, k *linebacker.Kernel, pol linebacker.Policy, windows int, timeout time.Duration, timeline bool, recordFile string, stdout io.Writer) (res *linebacker.Result, err error) {
-	g, gerr := linebacker.New(cfg, k, pol)
-	if gerr != nil {
-		return nil, fmt.Errorf("%w: %w", harness.ErrBadConfig, gerr)
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, &harness.RunError{
-				Bench: k.Name, Policy: pol.Name(), Phase: harness.PhaseRun,
-				Cycle: g.Cycle(), Snapshot: g.StateDump(), Stack: string(debug.Stack()),
-				Err: fmt.Errorf("%w: %v", harness.ErrPanic, p),
-			}
-		}
-	}()
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, timeout, harness.ErrTimeout)
-		defer cancel()
-	}
+	r := harness.NewRunner(cfg, windows)
+	r.Timeout = timeout
+	var record func(*linebacker.GPU)
 	if recordFile != "" {
 		f, ferr := os.Create(recordFile)
 		if ferr != nil {
 			return nil, ferr
 		}
 		rec := linebacker.NewTraceRecorder(f)
-		linebacker.RecordTrace(g, rec)
+		record = func(g *linebacker.GPU) { linebacker.RecordTrace(g, rec) }
 		// A trace that could not be written fails the run: a truncated
 		// trace must not pass for a complete one.
 		defer func() {
@@ -214,37 +198,37 @@ func runKernel(cfg linebacker.Config, k *linebacker.Kernel, pol linebacker.Polic
 			}
 		}()
 	}
-	if !timeline {
-		if _, err := g.RunCtx(ctx, int64(windows)*int64(cfg.LB.WindowCycles)); err != nil {
-			return nil, &harness.RunError{
-				Bench: k.Name, Policy: pol.Name(), Phase: harness.PhaseRun,
-				Cycle: g.Cycle(), Snapshot: g.StateDump(), Err: err,
-			}
+	var drive func(context.Context, *linebacker.GPU) error
+	if timeline {
+		drive = func(ctx context.Context, g *linebacker.GPU) error {
+			return runTimeline(ctx, g, windows, stdout)
 		}
-		return g.Collect(), nil
 	}
-	// windows == 0 runs window by window until the grid completes: a
-	// window that simulates no cycle means it already had.
-	win := int64(cfg.LB.WindowCycles)
+	return r.Simulate(context.Background(), cfg, "", k, pol, record, drive)
+}
+
+// runTimeline runs the machine window by window, printing each window's
+// IPC over the cycles it actually simulated, and stops after the window in
+// which the grid completes (or after the last of windows; 0 = no limit).
+func runTimeline(ctx context.Context, g *linebacker.GPU, windows int, stdout io.Writer) error {
+	win := int64(g.Config().LB.WindowCycles)
 	var prevRetired int64
 	fmt.Fprintln(stdout, "window  IPC      bar")
 	for w := 1; windows == 0 || w <= windows; w++ {
 		start := g.Cycle()
 		end, err := g.RunCtx(ctx, int64(w)*win)
 		if err != nil {
-			return nil, &harness.RunError{
-				Bench: k.Name, Policy: pol.Name(), Phase: harness.PhaseRun,
-				Cycle: g.Cycle(), Snapshot: g.StateDump(), Err: err,
-			}
+			return err
 		}
-		if windows == 0 && end == start {
+		// A window that simulates no cycle means the grid had completed.
+		if end == start {
 			break
 		}
 		var retired int64
 		for _, sm := range g.SMs() {
 			retired += sm.Retired()
 		}
-		ipc := float64(retired-prevRetired) / float64(win)
+		ipc := float64(retired-prevRetired) / float64(end-start)
 		prevRetired = retired
 		bar := ""
 		for i := 0.0; i+0.25 <= ipc; i += 0.25 {
@@ -253,7 +237,7 @@ func runKernel(cfg linebacker.Config, k *linebacker.Kernel, pol linebacker.Polic
 		fmt.Fprintf(stdout, "%6d  %6.3f   %s\n", w, ipc, bar)
 	}
 	fmt.Fprintln(stdout)
-	return g.Collect(), nil
+	return nil
 }
 
 func pct(n, d int64) float64 { return 100 * float64(n) / float64(d) }

@@ -83,6 +83,37 @@ func TestTimeline(t *testing.T) {
 			t.Errorf("-timeline -windows 0 printed %q, want %q", got, want)
 		}
 	}
+
+	// The grid completes inside the first of two windows: that window's
+	// IPC is over the cycles it simulated, so it equals the run's IPC, and
+	// no window follows it.
+	short, err := runCLI(t, "-kernel", kernel, "-scheme", "baseline", "-windows", "2", "-timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := timelineRows(short)
+	ipc := strings.Fields(statLine(short, "IPC"))
+	if len(rows) != 1 || len(ipc) != 2 || len(rows[0]) < 2 || rows[0][1] != ipc[1] {
+		t.Errorf("-timeline -windows 2 on a one-window grid printed rows %v for run %v, want one row at the run's IPC:\n%s",
+			rows, ipc, short)
+	}
+}
+
+// timelineRows returns the fields of each -timeline row.
+func timelineRows(out string) [][]string {
+	var rows [][]string
+	in := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "window  IPC"):
+			in = true
+		case line == "":
+			in = false
+		case in:
+			rows = append(rows, strings.Fields(line))
+		}
+	}
+	return rows
 }
 
 // statLine returns the first line of a stat block that starts with field.

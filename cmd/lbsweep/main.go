@@ -127,18 +127,20 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	case "swl":
 		maxRes := sim.MaxResidentCTAs(&cfg.GPU, b.Kernel)
 		fmt.Fprintf(stdout, "static CTA limit sweep for %s (max resident %d):\n", b.Name, maxRes)
-		bestIPC, bestLim := 0.0, 0
 		for lim := 1; lim <= maxRes; lim++ {
 			res, err := runOne(cfg, "", schemes.SWL{Limit: lim})
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "  limit %2d: IPC %.3f\n", lim, res.IPC())
-			if res.IPC() > bestIPC {
-				bestIPC, bestLim = res.IPC(), lim
-			}
 		}
-		fmt.Fprintf(stdout, "Best-SWL: limit %d (IPC %.3f)\n", bestLim, bestIPC)
+		// The figures' oracle, not the best of the limits above: its
+		// points are memo hits of this loop.
+		bestLim, best, err := r.BestSWL(ctx, b.Name)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "Best-SWL: limit %d (IPC %.3f)\n", bestLim, best.IPC())
 	case "cache":
 		pol, err := linebacker.NewScheme(*scheme)
 		if err != nil {

@@ -57,8 +57,6 @@ type GPU struct {
 	DRAMBanksPerChan int
 	DRAM             DRAMTiming
 
-	// Issue width per scheduler per cycle.
-	IssueWidth int
 	// MaxWarpMLP is the per-warp memory-level parallelism: the number of
 	// outstanding line requests a warp may have before it stalls. Real SMs
 	// keep many loads in flight per warp (score-boarded registers).
@@ -173,8 +171,6 @@ type Config struct {
 	GPU    GPU
 	LB     Linebacker
 	Energy Energy
-	// MaxCycles caps simulation length (0 = run to completion).
-	MaxCycles int64
 	// Seed drives the deterministic workload PRNG.
 	Seed uint64
 	// Check enables the runtime invariant checker (internal/check) on every
@@ -225,7 +221,6 @@ func Default() Config {
 			DRAM: DRAMTiming{
 				RCD: 12, RP: 12, RC: 40, RRD: 5.5, CL: 12, WR: 12, RAS: 28,
 			},
-			IssueWidth: 1,
 			MaxWarpMLP: 4,
 		},
 		LB: Linebacker{
@@ -254,26 +249,8 @@ func Default() Config {
 			ExecPJ:             20.0,
 			StaticWattsSM:      1.2,
 		},
-		MaxCycles: 0,
-		Seed:      1,
+		Seed: 1,
 	}
-}
-
-// Scaled returns the default configuration shrunk by the given factor for
-// fast tests and benches: fewer SMs and a proportionally shorter monitoring
-// window. factor must be >= 1; Scaled(1) equals Default().
-//
-// The Linebacker controller operates on per-window ratios (hit ratio, IPC
-// variation), so shrinking the window preserves behaviour shapes; tests
-// verify this on a sample of workloads.
-func Scaled(factor int) Config {
-	c := Default()
-	if factor <= 1 {
-		return c
-	}
-	c.GPU.NumSMs = maxInt(1, c.GPU.NumSMs/factor)
-	c.LB.WindowCycles = maxInt(500, c.LB.WindowCycles/factor)
-	return c
 }
 
 // L1Sets returns the number of L1 sets for the configured geometry.
@@ -321,8 +298,6 @@ func (c *Config) Validate() error {
 		return errors.New("config: NumSchedulers must be positive")
 	case g.RegFileBanks <= 0:
 		return errors.New("config: RegFileBanks must be positive")
-	case g.IssueWidth <= 0:
-		return errors.New("config: IssueWidth must be positive")
 	case g.MaxWarpMLP <= 0:
 		return errors.New("config: MaxWarpMLP must be positive")
 	}
@@ -403,11 +378,4 @@ func (t *DRAMTiming) validate() error {
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -99,19 +99,3 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		}
 	}
 }
-
-func TestScaled(t *testing.T) {
-	cfg := Scaled(4)
-	if cfg.GPU.NumSMs != 4 {
-		t.Fatalf("scaled SMs = %d", cfg.GPU.NumSMs)
-	}
-	if cfg.LB.WindowCycles != 12500 {
-		t.Fatalf("scaled window = %d", cfg.LB.WindowCycles)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := Scaled(1).GPU.NumSMs; got != 16 {
-		t.Fatalf("Scaled(1) SMs = %d", got)
-	}
-}

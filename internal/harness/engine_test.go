@@ -241,6 +241,25 @@ func TestAcceptanceCancellationSweep(t *testing.T) {
 	}
 }
 
+// TestProbeDeadline checks that a probe run is bounded by the runner's
+// deadline like every other point, and that its failure is not memoised.
+func TestProbeDeadline(t *testing.T) {
+	r := tinyRunner()
+	r.Timeout = time.Nanosecond
+	_, err := r.RunProbe(context.Background(), "BI")
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("probe past its deadline: err = %v, want ErrTimeout", err)
+	}
+	var re *RunError
+	if !errors.As(err, &re) || re.Phase != PhaseRun || re.Policy != "probe" || re.Snapshot == "" {
+		t.Fatalf("probe timeout error = %+v, want a run-phase probe *RunError with a snapshot", err)
+	}
+	r.Timeout = 0
+	if _, err := r.RunProbe(context.Background(), "BI"); err != nil {
+		t.Fatalf("probe retry without a deadline: %v", err)
+	}
+}
+
 func TestTimeoutAbortsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timeout test simulates until the deadline")

@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/linebacker-sim/linebacker/internal/config"
 	"github.com/linebacker-sim/linebacker/internal/core"
@@ -128,51 +125,21 @@ func cfgWithL1(base config.Config, kb int) config.Config {
 func Table2(r *Runner) *Table {
 	t := &Table{ID: "table2", Title: "Benchmarks and cache sensitivity (192 KB vs 48 KB L1)",
 		Header: []string{"App", "Description", "Suite", "Speedup@192KB", "Class(measured)", "Class(paper)"}}
-	type row struct {
-		b       workload.Benchmark
-		speedup float64
-	}
-	benches := workload.All()
-	rows := make([]row, len(benches))
-	errs := make([]error, len(benches))
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b workload.Benchmark) {
-			defer wg.Done()
-			// The error API, not Must*: a panic in a bare goroutine would
-			// escape Experiment.RunSafe's recovery barrier and kill the
-			// process. Failures join below and surface on the caller's
-			// goroutine instead.
-			base, err := r.Run(ctx, b.Name, sim.Baseline{})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			big, err := r.RunCfg(ctx, cfgWithL1(r.Cfg, 192), "l1=192", b.Name, sim.Baseline{})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rows[i] = row{b, Speedup(big, base)}
-		}(i, b)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		//lbvet:panic experiments are infallible by contract; RunSafe converts this to the joined error
-		panic(err)
-	}
-	for _, row := range rows {
+	speedups := r.MustForEachBench(func(bench string) float64 {
+		base := r.MustRun(bench, sim.Baseline{})
+		big := r.MustRunCfg(cfgWithL1(r.Cfg, 192), "l1=192", bench, sim.Baseline{})
+		return Speedup(big, base)
+	})
+	for i, b := range workload.All() {
 		cls := "insensitive"
-		if row.speedup > 1.30 {
+		if speedups[i] > 1.30 {
 			cls = "sensitive"
 		}
 		want := "insensitive"
-		if row.b.Sensitive {
+		if b.Sensitive {
 			want = "sensitive"
 		}
-		t.AddRow(row.b.Name, row.b.Desc, row.b.Suite, f2(row.speedup), cls, want)
+		t.AddRow(b.Name, b.Desc, b.Suite, f2(speedups[i]), cls, want)
 	}
 	return t
 }

@@ -2,13 +2,10 @@ package harness
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 
 	"github.com/linebacker-sim/linebacker/internal/memtypes"
 	"github.com/linebacker-sim/linebacker/internal/sim"
 	"github.com/linebacker-sim/linebacker/internal/stats"
-	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
 // ProbeResult carries the per-load statistics of an instrumented baseline
@@ -17,9 +14,17 @@ type ProbeResult struct {
 	Loads []stats.LoadStats
 }
 
+// probePolicy is the baseline policy under the name probe runs report.
+type probePolicy struct{ sim.Baseline }
+
+// Name implements sim.Policy.
+func (probePolicy) Name() string { return "probe" }
+
 // RunProbe executes the benchmark under the baseline policy with a per-load
-// probe attached to every SM and returns merged per-load statistics. A
-// non-nil error is always a *RunError.
+// probe attached to every SM and returns merged per-load statistics. The
+// run goes through Simulate like every other point, so it sees the
+// runner's deadline, watchdog, checker and chaos settings. A non-nil error
+// is always a *RunError.
 func (r *Runner) RunProbe(ctx context.Context, bench string) (*ProbeResult, error) {
 	key := "probe|" + bench
 	r.mu.Lock()
@@ -29,18 +34,31 @@ func (r *Runner) RunProbe(ctx context.Context, bench string) (*ProbeResult, erro
 	}
 	r.mu.Unlock()
 
+	pol := probePolicy{}
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, &RunError{Bench: bench, Policy: "probe", Phase: PhaseQueue,
+		return nil, &RunError{Bench: bench, Policy: pol.Name(), Phase: PhaseQueue,
 			Err: context.Cause(ctx)}
 	}
-	res, err := r.executeProbe(ctx, bench)
+	var probes []*stats.LoadProbe
+	_, err := r.execute(ctx, r.Cfg, "", bench, pol, func(g *sim.GPU) {
+		for _, smx := range g.SMs() {
+			p := stats.NewLoadProbe(int64(r.Cfg.LB.WindowCycles))
+			probes = append(probes, p)
+			smx.Probe = func(warpSlot int, pc uint32, line memtypes.LineAddr, isStore bool, cycle int64) {
+				if !isStore {
+					p.Observe(pc, line, cycle)
+				}
+			}
+		}
+	})
 	<-r.sem
 	if err != nil {
 		return nil, err
 	}
 
+	res := &ProbeResult{Loads: mergeProbes(probes)}
 	r.mu.Lock()
 	r.probeCache[key] = res
 	r.mu.Unlock()
@@ -55,54 +73,6 @@ func (r *Runner) MustRunProbe(bench string) *ProbeResult {
 		panic(err)
 	}
 	return res
-}
-
-func (r *Runner) executeProbe(ctx context.Context, bench string) (res *ProbeResult, err error) {
-	rerr := &RunError{Bench: bench, Policy: "probe", Phase: PhaseSetup}
-	var g *sim.GPU
-	defer func() {
-		if p := recover(); p != nil {
-			rerr.Err = fmt.Errorf("%w: %v", ErrPanic, p)
-			rerr.Stack = string(debug.Stack())
-			if g != nil {
-				rerr.Cycle = g.Cycle()
-				rerr.Snapshot = safeDump(g)
-			}
-			res, err = nil, rerr
-		}
-	}()
-
-	b, ok := workload.ByName(bench)
-	if !ok {
-		rerr.Err = fmt.Errorf("%w %q", ErrUnknownBench, bench)
-		return nil, rerr
-	}
-	machine, serr := sim.New(r.Cfg, b.Kernel, sim.Baseline{})
-	if serr != nil {
-		rerr.Err = fmt.Errorf("%w: %w", ErrBadConfig, serr)
-		return nil, rerr
-	}
-	g = machine
-	r.execs.Add(1)
-	probes := make([]*stats.LoadProbe, len(g.SMs()))
-	for i, smx := range g.SMs() {
-		p := stats.NewLoadProbe(int64(r.Cfg.LB.WindowCycles))
-		probes[i] = p
-		smx.Probe = func(warpSlot int, pc uint32, line memtypes.LineAddr, isStore bool, cycle int64) {
-			if !isStore {
-				p.Observe(pc, line, cycle)
-			}
-		}
-	}
-	rerr.Phase = PhaseRun
-	cyc, runErr := g.RunCtx(ctx, r.cycles(&r.Cfg))
-	if runErr != nil {
-		rerr.Cycle = cyc
-		rerr.Snapshot = safeDump(g)
-		rerr.Err = runErr
-		return nil, rerr
-	}
-	return &ProbeResult{Loads: mergeProbes(probes)}, nil
 }
 
 // mergeProbes averages per-PC statistics across SMs.

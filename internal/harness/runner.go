@@ -2,15 +2,19 @@
 // function per table/figure of the evaluation, shared by cmd/lbfig, the
 // root-level benchmarks and EXPERIMENTS.md generation.
 //
-// The Runner is a fault-tolerant run engine: every simulation executes
-// under a panic-recovery barrier with cooperative context cancellation, an
-// optional per-run deadline and an optional no-forward-progress watchdog.
-// Failures come back as *RunError values carrying the failed point's
-// identity and a machine-state snapshot; sweeps degrade gracefully by
-// skipping (and reporting) failed points instead of dying. Successful
-// results — and only successful results — are memoised, and optionally
-// committed to a persistent store (internal/store) so interrupted sweeps
-// resume without re-simulating completed points.
+// The Runner is a fault-tolerant run engine and the one place a
+// simulation is identified and run. Every simulation — sweep points, the
+// per-load probes of Figures 2 and 3, and lbsim's single runs — executes
+// in Runner.Simulate, under a panic-recovery barrier with cooperative
+// context cancellation, an optional per-run deadline and an optional
+// no-forward-progress watchdog. Failures come back as *RunError values
+// carrying the failed point's identity and a machine-state snapshot;
+// sweeps degrade gracefully by skipping (and reporting) failed points
+// instead of dying. Successful results — and only successful results — are
+// memoised under a key of the point's configuration, run length, benchmark
+// and policy, and optionally committed to a persistent store
+// (internal/store) so interrupted sweeps resume without re-simulating
+// completed points.
 package harness
 
 import (
@@ -134,8 +138,9 @@ func (r *Runner) forEachIndex(n int, fn func(i int)) {
 // single-flight (DoOnce), so concurrent clients — and concurrent server
 // replicas — pay one simulation per key, and every success is committed
 // (CRC-framed, fsynced) before the caller sees it. Keys embed the full
-// config fingerprint, so a store written under a different configuration
-// is simply never hit; a re-run sweep re-simulates only its missing points.
+// config fingerprint and the run length, so a store written under a
+// different configuration or window count is simply never hit; a re-run
+// sweep re-simulates only its missing points.
 func (r *Runner) AttachStore(st *store.Store) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -175,7 +180,8 @@ func (r *Runner) cycles(cfg *config.Config) int64 {
 // key. Config is a tree of value types, so %v is deterministic and two
 // configs collide only when they are semantically identical. Chaos fields
 // are part of the fingerprint by construction: a faulted run can never
-// alias a clean cache or store entry.
+// alias a clean cache or store entry. The run length is not a Config field;
+// RunCfg adds the runner's Windows next to the fingerprint.
 //
 // Strict is the one deliberate exclusion: it only chooses whether every SM
 // ticks in every cycle or idle SMs sleep — results are bit-identical in
@@ -188,8 +194,8 @@ func cfgFingerprint(cfg *config.Config) string {
 }
 
 // Run simulates one benchmark under one policy using the runner's base
-// config, memoised by (config fingerprint, bench, policy-name). A non-nil
-// error is always a *RunError.
+// config, memoised by (config fingerprint, run length, bench,
+// policy-name). A non-nil error is always a *RunError.
 func (r *Runner) Run(ctx context.Context, bench string, pol sim.Policy) (*sim.Result, error) {
 	return r.RunCfg(ctx, r.Cfg, "", bench, pol)
 }
@@ -207,9 +213,10 @@ func (r *Runner) MustRun(bench string, pol sim.Policy) *sim.Result {
 }
 
 // RunCfg simulates with an explicit configuration. The memo key always
-// includes a full fingerprint of cfg, so two different configurations can
-// never alias a cache entry; cfgKey is a human-readable discriminator kept
-// for experiment labelling and stable memo keys across sweeps. Only
+// includes a full fingerprint of cfg and the runner's Windows, so two
+// different configurations or run lengths can never alias a cache or store
+// entry; cfgKey is a human-readable discriminator kept for experiment
+// labelling and stable memo keys across sweeps. Only
 // successful results enter the memo cache and store — a failed or
 // cancelled run leaves no partial entry behind. A non-nil error is always
 // a *RunError.
@@ -220,7 +227,7 @@ func (r *Runner) MustRun(bench string, pol sim.Policy) *sim.Result {
 // matter how many sweep goroutines race to it. Failures are never shared
 // forward: a waiter whose leader failed retries with its own context.
 func (r *Runner) RunCfg(ctx context.Context, cfg config.Config, cfgKey, bench string, pol sim.Policy) (*sim.Result, error) {
-	key := fmt.Sprintf("%s|%s|%s|%s", cfgKey, cfgFingerprint(&cfg), bench, pol.Name())
+	key := fmt.Sprintf("%s|%s|w=%d|%s|%s", cfgKey, cfgFingerprint(&cfg), r.Windows, bench, pol.Name())
 	var f *flight
 	for {
 		r.mu.Lock()
@@ -260,10 +267,10 @@ func (r *Runner) RunCfg(ctx context.Context, cfg config.Config, cfgKey, bench st
 			// The store may satisfy the key from another process's commit
 			// (no execution), or run us as the cross-process leader.
 			res, _, err = st.DoOnce(ctx, key, func(ctx context.Context) (*sim.Result, error) {
-				return r.execute(ctx, cfg, cfgKey, bench, pol)
+				return r.execute(ctx, cfg, cfgKey, bench, pol, nil)
 			})
 		} else {
-			res, err = r.execute(ctx, cfg, cfgKey, bench, pol)
+			res, err = r.execute(ctx, cfg, cfgKey, bench, pol, nil)
 		}
 		<-r.sem
 	case <-ctx.Done():
@@ -307,13 +314,31 @@ func (r *Runner) MustRunCfg(cfg config.Config, cfgKey, bench string, pol sim.Pol
 	return res
 }
 
-// execute runs one simulation under the full fault barrier: panic
-// recovery, per-run deadline, forward-progress watchdog and cooperative
-// cancellation. All machine state in the returned *RunError (cycle,
-// snapshot) is read by this goroutine after the run loop has stopped, so
-// no diagnostic ever races the engine.
-func (r *Runner) execute(ctx context.Context, cfg config.Config, cfgKey, bench string, pol sim.Policy) (res *sim.Result, err error) {
-	rerr := &RunError{Bench: bench, Policy: pol.Name(), CfgKey: cfgKey, Phase: PhaseSetup}
+// execute runs one Table 2 benchmark through Simulate.
+func (r *Runner) execute(ctx context.Context, cfg config.Config, cfgKey, bench string, pol sim.Policy, instrument func(*sim.GPU)) (*sim.Result, error) {
+	b, ok := workload.ByName(bench)
+	if !ok {
+		return nil, &RunError{Bench: bench, Policy: pol.Name(), CfgKey: cfgKey, Phase: PhaseSetup,
+			Err: fmt.Errorf("%w %q", ErrUnknownBench, bench)}
+	}
+	return r.Simulate(ctx, cfg, cfgKey, b.Kernel, pol, instrument, nil)
+}
+
+// Simulate is the run engine's fault barrier, the one place a simulation
+// runs. It builds the machine for kernel k under pol (sim.New, the
+// invariant checker when cfg.Check is set, the chaos injector when
+// cfg.Chaos arms a fault), hands it to instrument when that is non-nil,
+// and drives it under the runner's deadline and watchdog: by default with
+// RunCtx to the runner's run length, or with drive when that is non-nil.
+// A panic, cancellation or drive error comes back as a *RunError labelled
+// (k.Name, pol, cfgKey) with the cycle, a machine-state snapshot and, for
+// panics, the recovered stack. All machine state in the error is read by
+// this goroutine after the run has stopped, so no diagnostic races the
+// engine. Simulate neither memoises nor takes a sweep slot; RunCfg and
+// RunProbe do both around it.
+func (r *Runner) Simulate(ctx context.Context, cfg config.Config, cfgKey string, k *workload.Kernel, pol sim.Policy,
+	instrument func(*sim.GPU), drive func(context.Context, *sim.GPU) error) (res *sim.Result, err error) {
+	rerr := &RunError{Bench: k.Name, Policy: pol.Name(), CfgKey: cfgKey, Phase: PhaseSetup}
 	var g *sim.GPU
 	defer func() {
 		if p := recover(); p != nil {
@@ -327,12 +352,7 @@ func (r *Runner) execute(ctx context.Context, cfg config.Config, cfgKey, bench s
 		}
 	}()
 
-	b, ok := workload.ByName(bench)
-	if !ok {
-		rerr.Err = fmt.Errorf("%w %q", ErrUnknownBench, bench)
-		return nil, rerr
-	}
-	machine, serr := sim.New(cfg, b.Kernel, pol)
+	machine, serr := sim.New(cfg, k, pol)
 	if serr != nil {
 		rerr.Err = fmt.Errorf("%w: %w", ErrBadConfig, serr)
 		return nil, rerr
@@ -342,6 +362,9 @@ func (r *Runner) execute(ctx context.Context, cfg config.Config, cfgKey, bench s
 		check.Attach(g)
 	}
 	chaos.Attach(g)
+	if instrument != nil {
+		instrument(g)
+	}
 	r.execs.Add(1)
 
 	runCtx := ctx
@@ -361,9 +384,14 @@ func (r *Runner) execute(ctx context.Context, cfg config.Config, cfgKey, bench s
 	}
 
 	rerr.Phase = PhaseRun
-	cyc, runErr := g.RunCtx(runCtx, r.cycles(&cfg))
-	if runErr != nil {
-		rerr.Cycle = cyc
+	if drive == nil {
+		drive = func(ctx context.Context, g *sim.GPU) error {
+			_, err := g.RunCtx(ctx, r.cycles(&cfg))
+			return err
+		}
+	}
+	if runErr := drive(runCtx, g); runErr != nil {
+		rerr.Cycle = g.Cycle()
 		rerr.Snapshot = safeDump(g)
 		rerr.Err = runErr
 		return nil, rerr

@@ -89,6 +89,18 @@ func TestStoreDifferentConfigNeverAliases(t *testing.T) {
 	if r2.Executions() != 1 {
 		t.Fatal("changed config hit a stale store entry")
 	}
+
+	// Same store and configuration, different run length: the key carries
+	// the window count, so the 2-window entry must not answer a 3-window
+	// run.
+	r3, _ := storeRunner(t, dir)
+	r3.Windows = 3
+	if _, err := r3.Run(ctx, "S2", sim.Baseline{}); err != nil {
+		t.Fatal(err)
+	}
+	if r3.Executions() != 1 {
+		t.Fatal("changed run length hit a stale store entry")
+	}
 }
 
 func TestStoreBackedMemoPersistsAcrossRunners(t *testing.T) {

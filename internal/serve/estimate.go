@@ -231,9 +231,9 @@ func (s *Server) simulateEstimate(ctx context.Context, windows int, req Estimate
 	if req.L1KB > 0 {
 		cfg.GPU.L1Bytes = req.L1KB * 1024
 	}
-	cfgKey := fmt.Sprintf("serve|w=%d|%s", windows, spec)
+	cfgKey := "serve|" + spec
 	if req.L1KB > 0 || req.VTTParts > 0 {
-		cfgKey = fmt.Sprintf("est|w=%d|l1=%d|vtt=%d|%s", windows, req.L1KB, req.VTTParts, spec)
+		cfgKey = fmt.Sprintf("est|l1=%d|vtt=%d|%s", req.L1KB, req.VTTParts, spec)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -73,9 +73,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Server executes sweep jobs over a persistent result store. It owns one
-// store-backed harness.Runner per (windows, paper) pair — harness memo
-// fingerprints exclude the run length, so runners are never shared across
-// window counts and every memo key carries a "w=N" discriminator.
+// store-backed harness.Runner per (windows, paper) pair: a runner has one
+// run length, and the harness keys every point by it, so runs of different
+// window counts never alias one store entry.
 type Server struct {
 	opts  Options
 	store *store.Store
@@ -234,10 +234,7 @@ func (s *Server) runPoint(r *harness.Runner, job *Job, i int, p Point) {
 	if s.tryTwinPoint(ctx, r, job, i, p) {
 		return
 	}
-	// The run length is deliberately in the cfgKey: harness fingerprints
-	// exclude Windows, so "w=N" keeps 3-window and 8-window runs of the
-	// same machine from aliasing one store entry.
-	cfgKey := fmt.Sprintf("serve|w=%d|%s", job.Req.Windows, p.Scheme)
+	cfgKey := "serve|" + p.Scheme
 	res, attempts, err := runWithRetry(ctx, s.opts.Retry, s.jit,
 		func(ctx context.Context) (*sim.Result, error) {
 			return r.RunCfg(ctx, cfg, cfgKey, p.Bench, pol)

@@ -158,9 +158,8 @@ func (g *GPU) Kernel() *workload.Kernel { return g.kernel }
 // Config returns the run configuration.
 func (g *GPU) Config() *config.Config { return &g.cfg }
 
-// Run simulates until the grid completes or maxCycles elapses (0 means use
-// cfg.MaxCycles; if that is also 0, run to completion). It returns the
-// final cycle count.
+// Run simulates until the grid completes or maxCycles elapses (0 = run to
+// completion). It returns the final cycle count.
 func (g *GPU) Run(maxCycles int64) int64 {
 	// A background context never cancels, so RunCtx cannot fail.
 	cyc, _ := g.RunCtx(context.Background(), maxCycles)
@@ -172,8 +171,8 @@ func (g *GPU) Run(maxCycles int64) int64 {
 // large windows so a cancelled or watchdog-aborted run reacts promptly.
 const checkpointCycles = 8192
 
-// RunCtx simulates until the grid completes, maxCycles elapses (0 means use
-// cfg.MaxCycles; if that is also 0, run to completion) or ctx is cancelled.
+// RunCtx simulates until the grid completes, maxCycles elapses (0 = run to
+// completion) or ctx is cancelled.
 // Cancellation is cooperative: ctx is consulted at monitoring-window
 // boundaries (more often for very long windows), where the engine also
 // publishes its committed-instruction count for external watchdogs (see
@@ -188,9 +187,6 @@ const checkpointCycles = 8192
 // a flat committed-instruction count, so an external forward-progress
 // watchdog still trips.
 func (g *GPU) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
-	if maxCycles == 0 {
-		maxCycles = g.cfg.MaxCycles
-	}
 	every := int64(g.cfg.LB.WindowCycles)
 	if every <= 0 || every > checkpointCycles {
 		every = checkpointCycles

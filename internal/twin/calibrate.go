@@ -108,7 +108,7 @@ func Calibrate(ctx context.Context, r *harness.Runner, bench string, opt Options
 	for _, kb := range kbs {
 		cfg := baseCfg
 		cfg.GPU.L1Bytes = kb * 1024
-		key := fmt.Sprintf("twin|w=%d|l1=%d", r.Windows, kb)
+		key := fmt.Sprintf("twin|l1=%d", kb)
 		base, err := r.RunCfg(ctx, cfg, key, bench, sim.Baseline{})
 		if err != nil {
 			return nil, fmt.Errorf("twin: calibrating %s l1=%dKB baseline: %w", bench, kb, err)
@@ -139,7 +139,7 @@ func Calibrate(ctx context.Context, r *harness.Runner, bench string, opt Options
 		if lim > m.MaxResident {
 			continue
 		}
-		res, err := r.RunCfg(ctx, baseCfg, fmt.Sprintf("twin|w=%d", r.Windows), bench, schemes.SWL{Limit: lim})
+		res, err := r.RunCfg(ctx, baseCfg, "twin", bench, schemes.SWL{Limit: lim})
 		if err != nil {
 			return nil, fmt.Errorf("twin: calibrating %s swl=%d: %w", bench, lim, err)
 		}
@@ -158,7 +158,7 @@ func Calibrate(ctx context.Context, r *harness.Runner, bench string, opt Options
 		}
 		cfg := baseCfg
 		cfg.LB.MaxPartitions = parts
-		res, err := r.RunCfg(ctx, cfg, fmt.Sprintf("twin|w=%d|vttp=%d", r.Windows, parts), bench, core.New())
+		res, err := r.RunCfg(ctx, cfg, fmt.Sprintf("twin|vttp=%d", parts), bench, core.New())
 		if err != nil {
 			return nil, fmt.Errorf("twin: calibrating %s vtt=%d: %w", bench, parts, err)
 		}
@@ -262,7 +262,7 @@ func rooflineOf(cfg *config.Config, m *Model, baseBPI []float64) Roofline {
 	g := &cfg.GPU
 	rl := Roofline{
 		PeakBytesPerCycle: g.BytesPerCycle(),
-		IssueRoofIPC:      float64(g.NumSMs * g.NumSchedulers * g.IssueWidth),
+		IssueRoofIPC:      float64(g.NumSMs * g.NumSchedulers),
 	}
 	// Nearest baseline anchor to the base size (the curves are sorted).
 	best := -1

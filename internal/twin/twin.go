@@ -71,7 +71,8 @@ type Roofline struct {
 	PeakBytesPerCycle float64 `json:"peak_bytes_per_cycle"`
 	// BandwidthRoofIPC is the IPC the DRAM bandwidth alone would allow.
 	BandwidthRoofIPC float64 `json:"bandwidth_roof_ipc"`
-	// IssueRoofIPC is the issue-width IPC ceiling of the whole machine.
+	// IssueRoofIPC is the issue IPC ceiling of the whole machine: one warp
+	// instruction per scheduler per cycle.
 	IssueRoofIPC float64 `json:"issue_roof_ipc"`
 	// MemBound reports whether the bandwidth roof is below the issue roof.
 	MemBound bool `json:"mem_bound"`

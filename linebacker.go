@@ -28,6 +28,7 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/config"
 	"github.com/linebacker-sim/linebacker/internal/core"
 	"github.com/linebacker-sim/linebacker/internal/energy"
+	"github.com/linebacker-sim/linebacker/internal/harness"
 	"github.com/linebacker-sim/linebacker/internal/memtypes"
 	"github.com/linebacker-sim/linebacker/internal/schemes"
 	"github.com/linebacker-sim/linebacker/internal/sim"
@@ -73,16 +74,8 @@ func DefaultConfig() Config { return config.Default() }
 
 // FastConfig returns the 4-SM experiment configuration with shared
 // resources scaled proportionally — the configuration the repository's
-// benchmarks and EXPERIMENTS.md use.
-func FastConfig() Config {
-	cfg := config.Default()
-	cfg.GPU.NumSMs = 4
-	cfg.GPU.DRAMBandwidthGBs = 176.25
-	cfg.GPU.DRAMChannels = 4
-	cfg.GPU.L2Bytes = 512 * 1024
-	cfg.LB.WindowCycles = 12500
-	return cfg
-}
+// benchmarks and EXPERIMENTS.md use (harness.BenchConfig).
+func FastConfig() Config { return harness.BenchConfig() }
 
 // Trace is a recorded per-warp memory trace, replayable through the engine.
 type Trace = workload.Trace
