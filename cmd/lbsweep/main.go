@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		storeDir   = fs.String("store", "", "result store directory checkpointing completed points; an existing one resumes the sweep")
 		chaosSpec  = fs.String("chaos", "", "fault-injection spec, e.g. panic:sm:5000 (see internal/chaos)")
 		twinMode   = fs.Bool("twin", false, "answer the cache sweep from a calibrated analytical twin where in-envelope (simulates only the calibration anchors and any out-of-envelope point)")
-		strict     = fs.Bool("strict", false, "tick every cycle instead of event-driven cycle skipping; results are identical in both modes")
+		strict     = fs.Bool("strict", false, "tick every SM in every cycle (by default idle SMs sleep); results are identical in both modes")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)

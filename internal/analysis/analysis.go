@@ -15,10 +15,6 @@
 //   - floatsum:     order-sensitive float accumulation over map iteration
 //   - nopanic:      panic/log.Fatal/os.Exit in the fault-isolated
 //     simulation packages
-//   - skipcontract: per-cycle OnCycle hooks that opted out of the
-//     cycle-skipping event protocol (e.g. an OnCycle override inheriting
-//     BasePolicy's quiescent NextEvent), or whose SkipCycles does not
-//     reproduce every field they write
 //   - errflow:      discarded errors and non-%w wrapping in the layers the
 //     failure model lives in
 //
@@ -57,18 +53,6 @@ const OrderedDirective = "//lbvet:ordered"
 //	//lbvet:panic unreachable by construction: only the four Kinds exist
 const PanicDirective = "//lbvet:panic"
 
-// EventBoundDirective is the escape hatch of the skipcontract analyzer's
-// closure layer (DESIGN.md §11). On a struct field it asserts the field
-// only changes at cycles the type's NextEvent advertises, so a skipped span
-// can never straddle an update and SkipCycles owes it nothing. On a method
-// it asserts the method only executes at advertised event boundaries (a
-// window boundary, a draining transfer that pins NextEvent to now), which
-// excuses every field the method writes — directly or transitively — from
-// the SkipCycles closure. Always give the reason after the directive, e.g.
-//
-//	//lbvet:eventbound runs only at the window boundary NextEvent advertises
-const EventBoundDirective = "//lbvet:eventbound"
-
 // ErrOKDirective is the escape hatch of the errflow analyzer: it justifies
 // one deliberately discarded error value in the harness/cliutil packages —
 // typically a best-effort cleanup on a path already returning a more
@@ -93,8 +77,6 @@ type Package struct {
 	ordered map[string]map[int]bool
 	// panicOK maps file name -> set of lines carrying PanicDirective.
 	panicOK map[string]map[int]bool
-	// eventBound maps file name -> set of lines carrying EventBoundDirective.
-	eventBound map[string]map[int]bool
 	// errOK maps file name -> set of lines carrying ErrOKDirective.
 	errOK map[string]map[int]bool
 }
@@ -165,14 +147,6 @@ func (p *Pass) PanicAllowed(pkg *Package, n ast.Node) bool {
 	return lines[pos.Line] || lines[pos.Line-1]
 }
 
-// eventBoundAt reports whether the node carries an EventBoundDirective
-// comment on its own line or the line immediately above.
-func (pkg *Package) eventBoundAt(fset *token.FileSet, n ast.Node) bool {
-	pos := fset.Position(n.Pos())
-	lines := pkg.eventBound[pos.Filename]
-	return lines[pos.Line] || lines[pos.Line-1]
-}
-
 // errOKAt reports whether the node carries an ErrOKDirective comment on its
 // own line or the line immediately above.
 func (pkg *Package) errOKAt(fset *token.FileSet, n ast.Node) bool {
@@ -190,7 +164,6 @@ func Analyzers() []*Analyzer {
 		StatsFlow,
 		FloatSum,
 		NoPanic,
-		SkipContract,
 		ErrFlow,
 	}
 }

@@ -125,12 +125,6 @@ func TestFingerprintGood(t *testing.T)  { runFixture(t, "fingerprintgood", Finge
 func TestNoPanicFixture(t *testing.T)   { runFixture(t, "nopanic", NoPanic) }
 func TestErrFlowFixture(t *testing.T)   { runFixture(t, "errflow", ErrFlow) }
 
-// The skipcontract fixture holds one package per layer of the contract; each
-// layer is checked alone, and the whole module together.
-func TestNextEventFixture(t *testing.T)    { runFixture(t, "skipcontract/declaration", SkipContract) }
-func TestSkipClosureFixture(t *testing.T)  { runFixture(t, "skipcontract/closure", SkipContract) }
-func TestSkipContractFixture(t *testing.T) { runFixture(t, "skipcontract", SkipContract) }
-
 // TestByName covers the analyzer-subset resolver.
 func TestByName(t *testing.T) {
 	all, err := ByName("")

@@ -263,10 +263,9 @@ func (l *Loader) load(path string) (*Package, error) {
 	}
 
 	pkg := &Package{Path: path, Dir: dir,
-		ordered:    map[string]map[int]bool{},
-		panicOK:    map[string]map[int]bool{},
-		eventBound: map[string]map[int]bool{},
-		errOK:      map[string]map[int]bool{},
+		ordered: map[string]map[int]bool{},
+		panicOK: map[string]map[int]bool{},
+		errOK:   map[string]map[int]bool{},
 	}
 	for _, src := range srcs {
 		f, err := parser.ParseFile(l.Fset, src, nil, parser.ParseComments)
@@ -276,7 +275,6 @@ func (l *Loader) load(path string) (*Package, error) {
 		pkg.Files = append(pkg.Files, f)
 		pkg.ordered[src] = directiveLines(l.Fset, f, OrderedDirective)
 		pkg.panicOK[src] = directiveLines(l.Fset, f, PanicDirective)
-		pkg.eventBound[src] = directiveLines(l.Fset, f, EventBoundDirective)
 		pkg.errOK[src] = directiveLines(l.Fset, f, ErrOKDirective)
 	}
 

@@ -17,7 +17,7 @@ import (
 // golden capture — every Table 2 benchmark under {baseline, lb} — must
 // equal the committed snapshot in both run modes. The snapshot was
 // recorded by a strict engine, so any event advertised too late (a slept
-// cycle that would have changed state) or any closed-form accrual that
+// cycle that would have changed state) or any slept-cycle accrual that
 // drifts from per-cycle ticking shows up as an exact-integer diff against
 // it.
 func TestGoldenMetricsSkipMatrix(t *testing.T) {

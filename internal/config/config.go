@@ -184,9 +184,10 @@ type Config struct {
 	CheckEvery int
 	// Strict disables per-SM sleeping: every SM ticks in every cycle,
 	// exactly as the pre-skip engine did. The default (false) lets an SM
-	// sleep through its provably idle cycles, applying its per-cycle
-	// accruals in closed form; the rest of the machine ticks in every
-	// cycle in both modes. Results are bit-identical in both modes — the
+	// sleep through its provably idle cycles, in which its front end only
+	// counts its idle schedulers and stalled LSU head while its policy's
+	// OnCycle still runs; the rest of the machine ticks in every cycle in
+	// both modes. Results are bit-identical in both modes — the
 	// field is deliberately excluded from the harness memo fingerprint,
 	// and a test matrix proves both properties (DESIGN.md §10).
 	Strict bool

@@ -346,46 +346,7 @@ func (s *SMState) OnCycle(cycle int64) {
 	}
 }
 
-// NextEvent implements sim.SMPolicy for the event-driven engine: while a
-// register backup/restore is draining with buffer headroom, pumpTransfer
-// sends every cycle, so the event is now; a full buffer (or a fully-sent
-// transfer) resumes through OnRegResponse, which is the response link's
-// event, not ours. Otherwise the only self-driven state change is the next
-// window boundary — endWindow mutates window counters in every phase, so
-// the boundary is always advertised.
-func (s *SMState) NextEvent(now int64) (int64, bool) {
-	if t := s.trans; t != nil && t.sent < t.count && t.inflight < s.sm.Config().LB.BackupBufEntries {
-		return now, true
-	}
-	b := s.windowStart + int64(s.sm.Config().LB.WindowCycles)
-	if b < now {
-		b = now
-	}
-	return b, true
-}
-
-// SkipCycles implements sim.SMPolicy: the per-cycle byte-cycle integrals of
-// OnCycle in closed form. Both integrands are constant across a skipped
-// span — VTT capacity changes only in recomputePartitions and the
-// register file's unused bytes only in allocation hooks, all of which run
-// during ticked cycles — and both add integer-valued float64 terms, so the
-// single multiply-add is bit-identical to span repeated additions.
-func (s *SMState) SkipCycles(from, to int64) {
-	span := to - from
-	s.cycles += span
-	if s.phase == phaseActive {
-		s.victimByteCycles += float64(span * int64(s.vtt.CapacityBytes()))
-	}
-	s.unusedByteCycles += float64(span * int64(s.sm.RF().StaticallyUnusedBytes()))
-}
-
-// pumpTransfer issues register transfers through the 6-entry buffer. It
-// writes only in states NextEvent refuses to skip over: while unsent
-// registers and buffer headroom both remain, NextEvent pins the event to
-// now, and in every other state the loop body never runs — so SkipCycles
-// owes none of these writes.
-//
-//lbvet:eventbound
+// pumpTransfer issues register transfers through the 6-entry buffer.
 func (s *SMState) pumpTransfer(t *transit, cycle int64) {
 	buf := s.sm.Config().LB.BackupBufEntries
 	for t.inflight < buf && t.sent < t.count {
@@ -406,11 +367,8 @@ func (s *SMState) pumpTransfer(t *transit, cycle int64) {
 
 // --- window boundary / CTL decisions ---
 
-// endWindow runs only at window boundaries, which NextEvent always
-// advertises — a skipped span never crosses one, so SkipCycles owes none
-// of these writes.
-//
-//lbvet:eventbound
+// endWindow closes a monitoring window: it measures the window's IPC and
+// runs the phase's decision (monitoring verdict or CTL throttle step).
 func (s *SMState) endWindow(cycle int64) {
 	cfg := s.sm.Config()
 	elapsed := cycle - s.windowStart

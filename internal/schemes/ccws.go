@@ -81,13 +81,8 @@ type ccwsWarp struct {
 
 type ccwsState struct {
 	sim.BasePolicy
-	cfg CCWS
-	sm  *sim.SM
-	// warps only changes per cycle while some score is positive, and then
-	// NextEvent pins the event to now — a skipped span never covers a decay
-	// step, so SkipCycles owes nothing here.
-	//
-	//lbvet:eventbound
+	cfg    CCWS
+	sm     *sim.SM
 	warps  []ccwsWarp
 	active []bool
 
@@ -149,48 +144,9 @@ func (s *ccwsState) OnCycle(cycle int64) {
 	s.rank(cycle)
 }
 
-// NextEvent implements sim.SMPolicy: while any warp carries a positive
-// locality score, OnCycle decays it every cycle — a genuine per-cycle state
-// change, so the event is now and the engine must tick. With all scores at
-// zero the only self-driven change left is the next ranking boundary (rank
-// rewrites the active set and lastRank even when nothing is descheduled).
-func (s *ccwsState) NextEvent(now int64) (int64, bool) {
-	for i := range s.warps {
-		if s.warps[i].score > 0 {
-			return now, true
-		}
-	}
-	b := s.lastRank + rankInterval
-	if b < now {
-		b = now
-	}
-	return b, true
-}
-
-// SkipCycles implements sim.SMPolicy: the descheduled-warp time-integral in
-// closed form. Every skipped cycle lies strictly before the next ranking
-// boundary (NextEvent advertises it), so each would have taken OnCycle's
-// early-return path: no decay (all scores are zero, or the engine would not
-// have skipped) and one descheduled count per inactive warp.
-func (s *ccwsState) SkipCycles(from, to int64) {
-	span := to - from
-	s.cycles += span
-	inactive := int64(0)
-	for _, a := range s.active {
-		if !a {
-			inactive++
-		}
-	}
-	s.descheduled += span * inactive
-}
-
-// rank descedules the lowest-scoring warps in proportion to the aggregate
+// rank deschedules the lowest-scoring warps in proportion to the aggregate
 // lost-locality score, and tells the SM's issue stage when it re-admits a
-// descheduled warp. It runs only at ranking boundaries, which NextEvent
-// advertises — a skipped span never crosses one, so SkipCycles owes none
-// of these writes.
-//
-//lbvet:eventbound
+// descheduled warp.
 func (s *ccwsState) rank(cycle int64) {
 	s.lastRank = cycle
 	total := 0.0

@@ -52,11 +52,8 @@ func (p *pcalState) OnCycle(cycle int64) {
 	p.retune(cycle)
 }
 
-// retune moves the token count by the IPC-variation hill-climb. It runs
-// only at window boundaries, which NextEvent advertises, so a skipped span
-// never crosses one and SkipCycles owes none of these writes.
-//
-//lbvet:eventbound
+// retune moves the token count by the IPC-variation hill-climb at a window
+// boundary.
 func (p *pcalState) retune(cycle int64) {
 	cfg := p.sm.Config()
 	retired := p.sm.Retired() - p.retiredStart
@@ -85,26 +82,6 @@ func (p *pcalState) retune(cycle int64) {
 		}
 	}
 	p.prevIPC = ipc
-}
-
-// NextEvent implements sim.SMPolicy: PCAL's only self-driven state change
-// is the token retuning at the next window boundary. The per-cycle bypass
-// integral is not an event; SkipCycles reproduces it.
-func (p *pcalState) NextEvent(now int64) (int64, bool) {
-	b := p.windowStart + int64(p.sm.Config().LB.WindowCycles)
-	if b < now {
-		b = now
-	}
-	return b, true
-}
-
-// SkipCycles implements sim.SMPolicy: the bypass-warp time-integral in
-// closed form. The token count is constant across a skipped span — it only
-// moves at window boundaries, which NextEvent advertises.
-func (p *pcalState) SkipCycles(from, to int64) {
-	span := to - from
-	p.cycles += span
-	p.bypassWarps += span * int64(p.maxWarps-p.tokens)
 }
 
 // ExtraStats implements sim.ExtraStatser.

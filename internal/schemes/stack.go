@@ -48,6 +48,7 @@ func (s Stack) Attach(sm *sim.SM) sim.SMPolicy {
 }
 
 type stackState struct {
+	sim.BasePolicy
 	ps []sim.SMPolicy
 }
 
@@ -147,32 +148,6 @@ func (s *stackState) OnRegResponse(req *memtypes.Request, cycle int64) {
 func (s *stackState) OnCycle(cycle int64) {
 	for _, p := range s.ps {
 		p.OnCycle(cycle)
-	}
-}
-
-// NextEvent merges the members' advertisements: the stack can change state
-// whenever any member can, so the combined event is the earliest one.
-func (s *stackState) NextEvent(now int64) (int64, bool) {
-	best, any := int64(0), false
-	for _, p := range s.ps {
-		c, ok := p.NextEvent(now)
-		if !ok {
-			continue
-		}
-		if c < now {
-			c = now
-		}
-		if !any || c < best {
-			best, any = c, true
-		}
-	}
-	return best, any
-}
-
-// SkipCycles fans the skipped span out to every member, mirroring OnCycle.
-func (s *stackState) SkipCycles(from, to int64) {
-	for _, p := range s.ps {
-		p.SkipCycles(from, to)
 	}
 }
 

@@ -95,26 +95,6 @@ func (s *swlState) OnCycle(cycle int64) {
 	s.durByteCycles += float64(throttled * s.sm.Kernel().RegsPerCTA() * config.LineSize)
 }
 
-// NextEvent implements sim.SMPolicy: SWL has no self-driven state changes —
-// its throttle set is a pure function of CTA residency, which only moves in
-// launch/complete hooks — so it is permanently quiescent. The per-cycle DUR
-// integral is not an event; SkipCycles reproduces it.
-func (s *swlState) NextEvent(int64) (int64, bool) { return 0, false }
-
-// SkipCycles implements sim.SMPolicy: the DUR integral of OnCycle in closed
-// form. The throttled-CTA count is constant across a skipped span (residency
-// changes only in ticked hooks), and the integral adds integer-valued
-// float64 terms, so one multiply-add is bit-identical to span additions.
-func (s *swlState) SkipCycles(from, to int64) {
-	span := to - from
-	s.cycles += span
-	throttled := s.sm.ResidentCTAs() - s.limit
-	if throttled < 0 {
-		throttled = 0
-	}
-	s.durByteCycles += float64(span * int64(throttled*s.sm.Kernel().RegsPerCTA()*config.LineSize))
-}
-
 // ExtraStats implements sim.ExtraStatser.
 func (s *swlState) ExtraStats() map[string]float64 {
 	dur := 0.0

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/linebacker-sim/linebacker/internal/config"
@@ -21,17 +22,17 @@ import (
 // It is a FaultInjector, so its Stage hook observes each SM right after
 // the engine phase that ticks it: at "l2" (the SM phase runs from "sm" to
 // "l2"). An injector only disables sleeping, and the run is strict anyway.
-// External inputs re-arm an SM's bound the way production does: a CTA
-// launch or response delivery resets its wake to 0. A wake of 0 is also
-// what stepSM computes after a tick whose policy opened a gate, so the
-// checker sets the wake to neverWake after each observation (strict runs
-// never read it): a 0 seen before the next SM phase can then only be a
-// reset. A state change that bypassed those signals shows up as a
-// violation.
+// Inputs re-arm an SM's bound the way production does: a CTA launch, a
+// response delivery or an opened gate resets its wake to 0. The checker
+// sets the wake to neverWake after each observation (strict runs never
+// read it), so a 0 seen at the next "sm" stage can only be a launch or a
+// response. A gate opened inside the tick instead leaves a wake below the
+// standing bound with no state change, and the checker re-arms on that.
+// A state change that bypassed those signals shows up as a violation.
 //
-// The exempt accruals (scheduler IssueIdle, L1 MSHRStalls, policy
-// byte-cycle integrals) are the quantities sleepCycle and
-// SMPolicy.SkipCycles apply in closed form; everything else must be
+// The exempt accruals (scheduler IssueIdle, L1 MSHRStalls) are the
+// quantities sleepCycle applies; policy state is the policy's own, since
+// its OnCycle runs in slept cycles too. Everything else must be
 // event-driven.
 type eventBoundChecker struct {
 	sms     []sleeperBound
@@ -48,9 +49,10 @@ type sleeperBound struct {
 }
 
 // observe checks one SM right after its tick at cycle cyc and re-arms its
-// bound from wake, the nextWake stepSM just computed, when the state moved
-// or the bound expired. span reports an advertisement that covers more
-// than one cycle; err reports a state change before the advertised event.
+// bound from wake, the nextWake stepSM just computed, when the state moved,
+// the bound expired or the wake fell below it (a gate opened in the tick).
+// span reports an advertisement that covers more than one cycle; err
+// reports a state change before the advertised event.
 func (b *sleeperBound) observe(fp uint64, cyc, wake int64) (span bool, err error) {
 	if fp != b.fp && cyc < b.until {
 		adv := fmt.Sprintf("no event before cycle %d", b.until)
@@ -59,7 +61,7 @@ func (b *sleeperBound) observe(fp uint64, cyc, wake int64) (span bool, err error
 		}
 		return false, fmt.Errorf("changed state at cycle %d, but stepSM advertised %s", cyc, adv)
 	}
-	if fp != b.fp || cyc+1 >= b.until {
+	if fp != b.fp || cyc+1 >= b.until || wake < b.until {
 		b.until = wake
 		span = wake > cyc+2
 	}
@@ -151,67 +153,43 @@ func smFingerprint(sm *SM) uint64 {
 }
 
 // pulsePolicy gates every CTA off during alternating windows of `period`
-// cycles and advertises the boundary through NextEvent — a minimal
-// policy-driven event source that forces the SM to merge policy events
-// into its wake bound. During an "off" phase the whole SM front-end is
-// idle, so any too-late advertisement from the policy merge path would
-// surface as a lower-bound violation.
-//
-// NextEvent has two forms. The default is the ceiling of now to a
-// boundary. fromLast is the form CCWS, PCAL and Linebacker use: the last
-// boundary OnCycle passed plus period. Right after the flip that opens the
-// gates it already names the next boundary, so the SM learns of the
-// opening only through GateOpened.
+// cycles and declares only OnCycle: it flips its gates at period
+// boundaries, calls GateOpened when they open, and counts its "on" cycles
+// into ExtraStats. During an "off" phase the whole SM front end is idle,
+// so the SM sleeps through it and learns of the next opening only through
+// GateOpened, from an OnCycle that runs in a slept cycle. A sleeper that
+// skipped OnCycle, or slept past the gate signal, would diverge from
+// strict.
 type pulsePolicy struct {
-	period   int64
-	fromLast bool
+	period int64
 }
 
 func (p pulsePolicy) Name() string { return "pulse" }
 func (p pulsePolicy) Attach(sm *SM) SMPolicy {
-	return &pulseState{sm: sm, period: p.period, fromLast: p.fromLast}
+	return &pulseState{sm: sm, period: p.period}
 }
 
 type pulseState struct {
 	BasePolicy
 	sm       *SM
 	period   int64
-	fromLast bool
 	on       bool
-	last     int64 // the last boundary OnCycle passed
+	onCycles int64
 }
 
 func (s *pulseState) CTAActive(int) bool { return s.on }
 func (s *pulseState) OnCycle(cycle int64) {
 	was := s.on
 	s.on = (cycle/s.period)%2 == 0
-	if cycle%s.period == 0 {
-		s.last = cycle
+	if s.on {
+		s.onCycles++
 	}
 	if s.on && !was {
 		s.sm.GateOpened()
 	}
 }
-func (s *pulseState) NextEvent(now int64) (int64, bool) {
-	if s.fromLast {
-		return max(s.last+s.period, now), true
-	}
-	// The phase flips during OnCycle of every multiple of period, so the
-	// earliest self-event >= now is the ceiling boundary (now itself when
-	// now is a boundary — the eventBoundChecker caught the off-by-one
-	// floor+period version advertising past a flip).
-	return (now + s.period - 1) / s.period * s.period, true
-}
-func (s *pulseState) SkipCycles(from, to int64) {
-	// on and last are pure functions of the cycles OnCycle saw; replay the
-	// final slept cycle's phase, and the last boundary the span passed, so
-	// a sleeping run lands in the same state.
-	if to > from {
-		s.on = ((to-1)/s.period)%2 == 0
-		if b := (to - 1) / s.period * s.period; b >= from {
-			s.last = b
-		}
-	}
+func (s *pulseState) ExtraStats() map[string]float64 {
+	return map[string]float64{"pulse_on_cycles": float64(s.onCycles)}
 }
 
 func eventBoundCfg() config.Config {
@@ -225,39 +203,33 @@ func eventBoundCfg() config.Config {
 	return cfg
 }
 
-// pulsePolicies names the pulse policy in both NextEvent forms.
-var pulsePolicies = map[string]pulsePolicy{
-	"pulse":      {period: 3000},
-	"pulse-last": {period: 3000, fromLast: true},
-}
+// pulse is the gate-pulsing policy both tests below run.
+var pulse = pulsePolicy{period: 3000}
 
 // TestEventLowerBound runs strict simulations with the lower-bound checker
 // installed: every event an SM advertises must be a true lower bound on
 // its next state change. Covers a memory-bound benchmark under the
 // stateless baseline (warp readyAt / MSHR events) and under a
-// window-pulsed gating policy in both NextEvent forms (the policy merge
-// path, and gates opened in OnCycle).
+// window-pulsed gating policy (gates opened in OnCycle).
 func TestEventLowerBound(t *testing.T) {
 	benches := []string{"S2", "BC"}
 	if testing.Short() {
 		benches = benches[:1]
 	}
-	pols := map[string]func() Policy{
-		"baseline": func() Policy { return Baseline{} },
-	}
-	for name, p := range pulsePolicies {
-		pols[name] = func() Policy { return p }
+	pols := map[string]Policy{
+		"baseline": Baseline{},
+		"pulse":    pulse,
 	}
 	for _, bench := range benches {
 		b, ok := workload.ByName(bench)
 		if !ok {
 			t.Fatalf("workload %s not found", bench)
 		}
-		for name, mk := range pols {
+		for name, pol := range pols {
 			t.Run(bench+"/"+name, func(t *testing.T) {
 				t.Parallel() // each case owns its GPU; no shared state
 				cfg := eventBoundCfg()
-				g, err := New(cfg, b.Kernel, mk())
+				g, err := New(cfg, b.Kernel, pol)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -280,8 +252,9 @@ func TestEventLowerBound(t *testing.T) {
 }
 
 // TestPulsePolicySkipEquivalence cross-checks the pulse policy used above,
-// in both NextEvent forms: its own NextEvent/SkipCycles implementation
-// must satisfy the invisibility contract, which doubles as a second
+// a policy that declares only OnCycle and whose gates change only there:
+// strict and sleeping runs must agree on every Result field, the policy's
+// ExtraStats included, and on the StateDump. It doubles as a second
 // strict-vs-sleeping differential on a policy written independently of
 // the shipped schemes.
 func TestPulsePolicySkipEquivalence(t *testing.T) {
@@ -289,26 +262,31 @@ func TestPulsePolicySkipEquivalence(t *testing.T) {
 	if !ok {
 		t.Fatal("workload S2 not found")
 	}
-	for name, pol := range pulsePolicies {
-		t.Run(name, func(t *testing.T) {
-			run := func(strict bool) (string, int64) {
-				cfg := eventBoundCfg()
-				cfg.Strict = strict
-				g, err := New(cfg, b.Kernel, pol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g.Run(60_000)
-				return g.StateDump(), g.SleptSMCycles()
+	t.Run(pulse.Name(), func(t *testing.T) {
+		run := func(strict bool) (*Result, string, int64) {
+			cfg := eventBoundCfg()
+			cfg.Strict = strict
+			g, err := New(cfg, b.Kernel, pulse)
+			if err != nil {
+				t.Fatal(err)
 			}
-			ds, _ := run(true)
-			dk, slept := run(false)
-			if ds != dk {
-				t.Fatalf("%s diverged between strict and sleeping:\n--- strict ---\n%s\n--- sleeping ---\n%s", name, ds, dk)
-			}
-			if slept == 0 {
-				t.Error("sleeping run never slept an SM-cycle; differential was vacuous")
-			}
-		})
-	}
+			g.Run(60_000)
+			return g.Collect(), g.StateDump(), g.SleptSMCycles()
+		}
+		rs, ds, _ := run(true)
+		rk, dk, slept := run(false)
+		if !reflect.DeepEqual(rs, rk) {
+			t.Errorf("results diverged between strict and sleeping:\n strict   %+v\n sleeping %+v", rs, rk)
+		}
+		if ds != dk {
+			t.Fatalf("diverged between strict and sleeping:\n--- strict ---\n%s\n--- sleeping ---\n%s", ds, dk)
+		}
+		if rs.Extra["pulse_on_cycles"] == 0 {
+			t.Error("the pulse policy never counted an on cycle; the Extra comparison was vacuous")
+		}
+		if slept == 0 {
+			t.Error("sleeping run never slept an SM-cycle; differential was vacuous")
+		}
+		t.Logf("%d instructions; %d SM-cycles slept", rs.Instructions, slept)
+	})
 }

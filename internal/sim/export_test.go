@@ -59,9 +59,9 @@ func refPickWarp(sm *SM, sched int, cycle int64) (int, int64) {
 
 // flipPolicy flips issue gates from a seeded generator: every load outcome
 // toggles one warp's gate, and every period cycles OnCycle redraws every
-// CTA and warp gate, each open with probability 3/4. It advertises those
-// boundaries through NextEvent. Its gates open in both kinds of hook the
-// issue stage cannot see coming, each of which calls GateOpened.
+// CTA and warp gate, each open with probability 3/4. Its gates open in both
+// kinds of hook the issue stage cannot see coming, each of which calls
+// GateOpened.
 type flipPolicy struct {
 	seed   uint64
 	period int64
@@ -116,9 +116,6 @@ func (s *flipState) OnCycle(cycle int64) {
 		s.warp[i] = s.next()%4 != 0
 	}
 	s.sm.GateOpened()
-}
-func (s *flipState) NextEvent(now int64) (int64, bool) {
-	return (now + s.period - 1) / s.period * s.period, true
 }
 
 // PickWarpTally counts the situations that make a pickWarp comparison
@@ -214,8 +211,8 @@ func (g *GPU) Done() bool { return g.done() }
 func SmallConfig() config.Config { return testConfig() }
 
 // GateTestPolicies returns the package's test policies: no gates, static
-// gates, gates pulsed at advertised OnCycle boundaries, and gates flipped
-// at OnCycle boundaries and in OnLoadOutcome.
+// gates, gates pulsed at OnCycle boundaries, and gates flipped at OnCycle
+// boundaries and in OnLoadOutcome.
 func GateTestPolicies() []Policy {
 	return []Policy{
 		Baseline{},

@@ -84,26 +84,25 @@ type SMPolicy interface {
 	// sent with SM.SendRegTraffic.
 	OnRegResponse(req *memtypes.Request, cycle int64)
 
-	// OnCycle runs once per cycle after the SM pipelines ticked; schemes
-	// implement window boundaries, backup draining and throttle decisions
-	// here.
+	// OnCycle runs once per cycle for every SM, after its front end ticked
+	// or slept (DESIGN.md §10); schemes implement window boundaries,
+	// backup draining, throttle decisions and per-cycle integrals here. A
+	// sleeping SM owes its policy nothing: the hook runs in slept cycles
+	// too, and a gate it opens wakes the SM through SM.GateOpened.
 	OnCycle(cycle int64)
 
-	// NextEvent advertises the earliest cycle (>= now) at which the policy
-	// can change simulated state on its own — typically its next window or
-	// ranking boundary. ok == false means the policy is quiescent: it will
-	// not change state until some engine hook (load outcome, CTA launch,
-	// register response, ...) fires. Returning now keeps the SM awake.
-	// Advertising too early is always safe; advertising past a state change
-	// is an engine bug (property-tested). See DESIGN.md §10.
+	// NextEvent is called by nothing in this module.
+	//
+	// Deprecated: OnCycle runs in every cycle, so a policy advertises no
+	// events. It stays only because cmd/lbbench's tracing decorator
+	// forwards it.
 	NextEvent(now int64) (int64, bool)
 
-	// SkipCycles informs the policy that its SM slept from cycle `from` to
-	// cycle `to` without ticking: OnCycle was not called for cycles
-	// [from, to). The engine currently passes one-cycle spans. Policies that
-	// integrate per-cycle quantities (occupancy, victim-capacity or
-	// unused-register byte-cycles) must apply the closed-form update for the
-	// span here, bit-identically to `to-from` repeated OnCycle calls.
+	// SkipCycles is called by nothing in this module.
+	//
+	// Deprecated: OnCycle runs in slept cycles too, so a policy owes no
+	// closed form of its per-cycle work. It stays only because
+	// cmd/lbbench's tracing decorator forwards it.
 	SkipCycles(from, to int64)
 }
 
@@ -186,12 +185,16 @@ func (BasePolicy) OnRegResponse(*memtypes.Request, int64) {}
 // OnCycle implements SMPolicy.
 func (BasePolicy) OnCycle(int64) {}
 
-// NextEvent implements SMPolicy: the base policy is stateless, so it is
-// permanently quiescent. Schemes whose OnCycle does real work must override
-// this (and SkipCycles) — the lbvet skipcontract analyzer enforces it.
+// NextEvent implements SMPolicy: quiescent.
+//
+// Deprecated: nothing in the engine calls it; it stays only because
+// cmd/lbbench's tracing decorator forwards SMPolicy.NextEvent.
 func (BasePolicy) NextEvent(int64) (int64, bool) { return 0, false }
 
-// SkipCycles implements SMPolicy: nothing accrues per cycle.
+// SkipCycles implements SMPolicy: a no-op.
+//
+// Deprecated: nothing in the engine calls it; it stays only because
+// cmd/lbbench's tracing decorator forwards SMPolicy.SkipCycles.
 func (BasePolicy) SkipCycles(int64, int64) {}
 
 // Baseline is the unmodified GPU of Table 1.

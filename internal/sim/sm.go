@@ -106,13 +106,14 @@ type SM struct {
 
 	pol SMPolicy
 
-	// nextWake is this SM's wake, the earliest cycle at which it can
-	// change state again, computed by stepSM after every tick in both run
-	// modes (see event.go). While the run clock is below it, a sleeping
-	// engine replaces the tick with the closed-form accruals of
-	// sleepCycle; simulated state is bit-identical either way. Reset to 0
-	// by the two external inputs an SM has: a response delivery
-	// (handleResponse) and a CTA launch (launchCTA).
+	// nextWake is this SM's wake, the earliest cycle at which its front
+	// end can change state again, computed by stepSM after every tick in
+	// both run modes (see event.go). While the run clock is below it, a
+	// sleeping engine replaces the tick with the accruals of sleepCycle;
+	// simulated state is bit-identical either way. Reset to 0 by the three
+	// inputs that can wake a sleeping SM: a response delivery
+	// (handleResponse), a CTA launch (launchCTA) and an opened gate
+	// (GateOpened).
 	//
 	// parked is the LSU half of the sleeper, set only by a sleeping
 	// engine: the LSU head failed processOp's structural check (line
@@ -359,17 +360,17 @@ func (sm *SM) Busy() bool {
 
 // --- per-cycle pipeline ---
 
-// tick advances the SM one cycle: schedulers issue, the LSU retires line
-// requests, and the policy runs. park lets the LSU park on a head-of-line
-// stall (sleeping engines only; see parked). The return value reports
-// whether the front-end did any work (issued an instruction or moved an
-// LSU request). After a tick that did none, no scheduler can pick a warp
-// before its wake bound and the LSU is empty or stalled at its head, which
-// is what stepSM's wake computation relies on (see event.go).
+// tick advances the SM's front end one cycle: schedulers issue and the
+// LSU retires line requests; stepSM runs the policy afterwards. park lets
+// the LSU park on a head-of-line stall (sleeping engines only; see
+// parked). The return value reports whether the front end did any work
+// (issued an instruction or moved an LSU request). After a tick that did
+// none, no scheduler can pick a warp before its wake bound and the LSU is
+// empty or stalled at its head, which is what stepSM's wake computation
+// relies on (see event.go).
 func (sm *SM) tick(cycle int64, park bool) bool {
 	issued := sm.issue(cycle)
 	moved := sm.runLSU(cycle, park)
-	sm.pol.OnCycle(cycle)
 	return issued || moved
 }
 
@@ -444,14 +445,15 @@ func (sm *SM) pickWarp(sched int, cycle int64) int {
 // GateOpened tells the issue stage that a CTAActive or WarpActive answer of
 // this SM's policy may have turned from false to true, so every scheduler
 // rescans at its next call instead of trusting its wake bound (see
-// pickWarp). Policies call it from the hook that opens the gate. The
-// zeroed bounds are also the SM's wake: stepSM folds them after the tick,
-// so a gate opened in OnCycle makes the SM tick the next cycle instead of
-// sleeping past it.
+// pickWarp). Policies call it from the hook that opens the gate. It also
+// resets the SM's wake like a response or a launch, so a gate opened in
+// OnCycle, which runs in slept cycles too, makes the SM tick the next
+// cycle instead of sleeping past it.
 func (sm *SM) GateOpened() {
 	for s := range sm.schedWake {
 		sm.schedWake[s] = 0
 	}
+	sm.nextWake = 0
 }
 
 // CheckIssueBound verifies the wake bound's invariant ahead of the given
@@ -459,11 +461,18 @@ func (sm *SM) GateOpened() {
 // call without a scan, so none of its alive, under-MLP warps the policy
 // admits may have a readyAt below the bound. A policy that opens a gate
 // without calling GateOpened trips it once a warp it admitted sits below
-// such a bound. Read-only; for the invariant checker.
+// such a bound. The SM's wake must not outlast its schedulers' bounds
+// either: an SM that sleeps past next while some bound lies below its wake
+// would miss the pick that bound allows, which is the state a GateOpened
+// that forgot the sleeper leaves. Read-only; for the invariant checker.
 func (sm *SM) CheckIssueBound(next int64) error {
 	ns := sm.cfg.GPU.NumSchedulers
 	mlp := sm.cfg.GPU.MaxWarpMLP
 	for s, wake := range sm.schedWake {
+		if sm.nextWake > next && wake < sm.nextWake {
+			return fmt.Errorf("SM%d sched %d: the SM sleeps until %d past its scheduler's wake bound %d",
+				sm.id, s, sm.nextWake, wake)
+		}
 		if wake <= next {
 			continue
 		}
