@@ -8,40 +8,17 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/analysis"
 )
 
-// writeDiags renders the findings in the selected format. All formats use
+// writeDiags renders the findings in the selected format. Both formats use
 // the module-relative file names the analysis layer produced, so output is
 // stable across machines and checkout locations.
 func writeDiags(w io.Writer, format string, analyzers []*analysis.Analyzer, diags []analysis.Diagnostic) error {
-	switch format {
-	case "json":
-		return writeJSON(w, diags)
-	case "sarif":
+	if format == "sarif" {
 		return writeSARIF(w, analyzers, diags)
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(w, d)
-		}
-		return nil
 	}
-}
-
-// jsonDiag is the -format json record.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
-	out := make([]jsonDiag, len(diags))
-	for i, d := range diags {
-		out[i] = jsonDiag{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Analyzer: d.Analyzer, Message: d.Message}
+	for _, d := range diags {
+		fmt.Fprintln(w, d)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return nil
 }
 
 // SARIF 2.1.0, the minimum GitHub code scanning accepts: one run, one rule

@@ -6,9 +6,7 @@
 //
 //	lbvet ./...
 //	lbvet -analyzers maprange,floatsum ./internal/sim ./internal/stats
-//	lbvet -skip errflow ./...
 //	lbvet -format sarif ./... > lbvet.sarif
-//	lbvet -baseline lbvet-baseline.json ./...
 //	lbvet -list
 //
 // Every run loads and type-checks the selected packages from source, runs
@@ -50,19 +48,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("lbvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		names     = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		skip      = fs.String("skip", "", "comma-separated analyzers to exclude from the run")
-		list      = fs.Bool("list", false, "list analyzers and exit")
-		dir       = fs.String("dir", ".", "directory to resolve package patterns from")
-		format    = fs.String("format", "text", "output format: text, json or sarif")
-		baseline  = fs.String("baseline", "", "suppress findings recorded in this baseline file")
-		writeBase = fs.String("write-baseline", "", "write current findings to this baseline file and exit clean")
+		names  = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+		list   = fs.Bool("list", false, "list analyzers and exit")
+		dir    = fs.String("dir", ".", "directory to resolve package patterns from")
+		format = fs.String("format", "text", "output format: text or sarif")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	analyzers, err := analysis.Select(*names, *skip)
+	analyzers, err := analysis.Select(*names)
 	if err != nil {
 		return err
 	}
@@ -73,9 +68,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "sarif":
 	default:
-		return fmt.Errorf("unknown -format %q (want text, json or sarif)", *format)
+		return fmt.Errorf("unknown -format %q (want text or sarif)", *format)
 	}
 
 	patterns := fs.Args()
@@ -86,27 +81,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	diags, npkgs, err := analyze(*dir, patterns, analyzers)
 	if err != nil {
 		return err
-	}
-
-	if *writeBase != "" {
-		if err := writeBaseline(*writeBase, diags); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "lbvet: wrote %d finding(s) to baseline %s\n", len(diags), *writeBase)
-		return nil
-	}
-	if *baseline != "" {
-		kept, suppressed, stale, err := applyBaseline(*baseline, diags)
-		if err != nil {
-			return err
-		}
-		diags = kept
-		if suppressed > 0 {
-			fmt.Fprintf(stderr, "lbvet: %d finding(s) suppressed by baseline\n", suppressed)
-		}
-		if stale > 0 {
-			fmt.Fprintf(stderr, "lbvet: %d stale baseline entr(y/ies) matched nothing — prune %s\n", stale, *baseline)
-		}
 	}
 
 	if err := writeDiags(stdout, *format, analyzers, diags); err != nil {

@@ -77,47 +77,6 @@ func TestAnalyzerSubset(t *testing.T) {
 	}
 }
 
-// TestSkipFlag excludes an analyzer from the full suite, and rejects the
-// ambiguous combination of selecting and skipping the same name.
-func TestSkipFlag(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run([]string{"-dir", filepath.Join("testdata", "clean"),
-		"-skip", "errflow", "./..."}, &out, &errb); err != nil {
-		t.Fatalf("-skip errflow on a clean module: %v\n%s", err, out.String())
-	}
-	err := run([]string{"-dir", filepath.Join("testdata", "clean"),
-		"-analyzers", "maprange", "-skip", "maprange", "./..."}, &out, &errb)
-	if err == nil || errors.Is(err, errFindings) {
-		t.Fatalf("selecting and skipping the same analyzer should be a hard error, got %v", err)
-	}
-}
-
-// TestFormatJSON checks the machine-readable output.
-func TestFormatJSON(t *testing.T) {
-	var out, errb bytes.Buffer
-	err := run([]string{"-dir", maprangeFixture(), "-format", "json", "./..."}, &out, &errb)
-	if !errors.Is(err, errFindings) {
-		t.Fatalf("want errFindings, got %v", err)
-	}
-	var diags []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &diags); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if len(diags) == 0 {
-		t.Fatal("no JSON diagnostics")
-	}
-	for _, d := range diags {
-		if d.Analyzer != "maprange" || d.Line <= 0 || filepath.IsAbs(d.File) {
-			t.Errorf("bad JSON diagnostic: %+v", d)
-		}
-	}
-}
-
 // TestFormatSARIF checks the SARIF 2.1.0 envelope.
 func TestFormatSARIF(t *testing.T) {
 	var out, errb bytes.Buffer
@@ -164,51 +123,24 @@ func TestFormatSARIF(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip: -write-baseline accepts the current findings,
-// -baseline then suppresses exactly them, and a stale entry is reported.
-func TestBaselineRoundTrip(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline.json")
-
-	var out, errb bytes.Buffer
-	if err := run([]string{"-dir", maprangeFixture(), "-write-baseline", base, "./..."}, &out, &errb); err != nil {
-		t.Fatalf("-write-baseline: %v", err)
-	}
-	if !strings.Contains(errb.String(), "wrote") {
-		t.Errorf("no write confirmation: %s", errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if err := run([]string{"-dir", maprangeFixture(), "-baseline", base, "./..."}, &out, &errb); err != nil {
-		t.Fatalf("baselined run should be clean: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(errb.String(), "suppressed by baseline") {
-		t.Errorf("no suppression note: %s", errb.String())
-	}
-
-	// A baseline with an entry nothing matches is stale.
-	if err := os.WriteFile(base, []byte(`[{"analyzer":"maprange","file":"gone.go","message":"never"}]`), 0o644); err != nil {
+// TestErrors covers the non-finding failure modes (exit 2 paths). The
+// retired -skip, -format json and baseline flags are usage errors even on
+// a clean module.
+func TestErrors(t *testing.T) {
+	clean := filepath.Join("testdata", "clean")
+	emptyBaseline := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(emptyBaseline, []byte("[]\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
-	errb.Reset()
-	err := run([]string{"-dir", maprangeFixture(), "-baseline", base, "./..."}, &out, &errb)
-	if !errors.Is(err, errFindings) {
-		t.Fatalf("unsuppressed findings should still fail: %v", err)
-	}
-	if !strings.Contains(errb.String(), "stale baseline") {
-		t.Errorf("no stale-entry note: %s", errb.String())
-	}
-}
-
-// TestErrors covers the non-finding failure modes (exit 2 paths).
-func TestErrors(t *testing.T) {
 	cases := [][]string{
 		{},                               // no packages
 		{"-analyzers", "bogus", "./..."}, // unknown analyzer
-		{"-skip", "bogus", "./..."},      // unknown analyzer in -skip
 		{"-format", "xml", "./..."},      // unknown format
-		{"-dir", filepath.Join("testdata", "clean"), "./missing"},  // bad package path
+		{"-dir", clean, "-skip", "errflow", "./..."},
+		{"-dir", clean, "-format", "json", "./..."},
+		{"-dir", clean, "-baseline", emptyBaseline, "./..."},
+		{"-dir", clean, "-write-baseline", filepath.Join(t.TempDir(), "out.json"), "./..."},
+		{"-dir", clean, "./missing"},                               // bad package path
 		{"-dir", filepath.Join("testdata", "missingmod"), "./..."}, // nonexistent directory
 		{"-dir", t.TempDir(), "./..."},                             // no go.mod anywhere above
 	}

@@ -168,19 +168,15 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated analyzer list ("maprange,floatsum").
-// Duplicate or unknown names are errors.
-func ByName(names string) ([]*Analyzer, error) { return Select(names, "") }
-
-// Select resolves the run set from a comma-separated include list (empty
-// means the full suite) minus a comma-separated skip list. Unknown names
-// and duplicates — in either list — are errors, as is a registry that
-// exposes two analyzers under one name.
-func Select(names, skip string) ([]*Analyzer, error) {
-	return selectFrom(Analyzers(), names, skip)
+// Select resolves the run set from a comma-separated analyzer list
+// ("maprange,floatsum"); an empty list means the full suite. Unknown and
+// duplicate names are errors, as is a registry that exposes two analyzers
+// under one name.
+func Select(names string) ([]*Analyzer, error) {
+	return selectFrom(Analyzers(), names)
 }
 
-func selectFrom(registry []*Analyzer, names, skip string) ([]*Analyzer, error) {
+func selectFrom(registry []*Analyzer, names string) ([]*Analyzer, error) {
 	byName := map[string]*Analyzer{}
 	for _, a := range registry {
 		if byName[a.Name] != nil {
@@ -188,54 +184,21 @@ func selectFrom(registry []*Analyzer, names, skip string) ([]*Analyzer, error) {
 		}
 		byName[a.Name] = a
 	}
-	splitList := func(list, flag string) ([]string, error) {
-		if list == "" {
-			return nil, nil
-		}
-		seen := map[string]bool{}
-		var out []string
-		for _, n := range strings.Split(list, ",") {
-			n = strings.TrimSpace(n)
-			if byName[n] == nil {
-				return nil, fmt.Errorf("unknown analyzer %q in %s", n, flag)
-			}
-			if seen[n] {
-				return nil, fmt.Errorf("duplicate analyzer %q in %s", n, flag)
-			}
-			seen[n] = true
-			out = append(out, n)
-		}
-		return out, nil
+	if names == "" {
+		return registry, nil
 	}
-	include, err := splitList(names, "-analyzers")
-	if err != nil {
-		return nil, err
-	}
-	skipped, err := splitList(skip, "-skip")
-	if err != nil {
-		return nil, err
-	}
-	skipSet := map[string]bool{}
-	for _, n := range skipped {
-		skipSet[n] = true
-	}
+	seen := map[string]bool{}
 	var out []*Analyzer
-	if include == nil {
-		for _, a := range registry {
-			if !skipSet[a.Name] {
-				out = append(out, a)
-			}
+	for _, n := range strings.Split(names, ",") {
+		n = strings.TrimSpace(n)
+		if byName[n] == nil {
+			return nil, fmt.Errorf("unknown analyzer %q in -analyzers", n)
 		}
-	} else {
-		for _, n := range include {
-			if skipSet[n] {
-				return nil, fmt.Errorf("analyzer %q both selected and skipped", n)
-			}
-			out = append(out, byName[n])
+		if seen[n] {
+			return nil, fmt.Errorf("duplicate analyzer %q in -analyzers", n)
 		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-skip excludes every analyzer")
+		seen[n] = true
+		out = append(out, byName[n])
 	}
 	return out, nil
 }

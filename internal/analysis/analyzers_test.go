@@ -125,18 +125,19 @@ func TestFingerprintGood(t *testing.T)  { runFixture(t, "fingerprintgood", Finge
 func TestNoPanicFixture(t *testing.T)   { runFixture(t, "nopanic", NoPanic) }
 func TestErrFlowFixture(t *testing.T)   { runFixture(t, "errflow", ErrFlow) }
 
-// TestByName covers the analyzer-subset resolver.
+// TestByName covers Select's by-name resolution: the empty list is the
+// full suite, and a subset comes back in the order it was named.
 func TestByName(t *testing.T) {
-	all, err := ByName("")
+	all, err := Select("")
 	if err != nil || len(all) != len(Analyzers()) {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v", len(all), err)
+		t.Fatalf("Select(\"\") = %d analyzers, err %v", len(all), err)
 	}
-	two, err := ByName("maprange, floatsum")
+	two, err := Select("maprange, floatsum")
 	if err != nil || len(two) != 2 || two[0] != MapRange || two[1] != FloatSum {
-		t.Fatalf("ByName subset = %v, err %v", two, err)
+		t.Fatalf("Select subset = %v, err %v", two, err)
 	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("ByName(bogus) should fail")
+	if _, err := Select("bogus"); err == nil {
+		t.Fatal("Select(bogus) should fail")
 	}
 }
 

@@ -10,42 +10,16 @@ import (
 // TestSelectErrors covers every rejection path of the run-set resolver.
 func TestSelectErrors(t *testing.T) {
 	cases := []struct {
-		names, skip string
-		wantErr     string
+		names, wantErr string
 	}{
-		{"maprange,maprange", "", "duplicate analyzer"},
-		{"maprange, maprange", "", "duplicate analyzer"},
-		{"", "errflow,errflow", "duplicate analyzer"},
-		{"bogus", "", `unknown analyzer "bogus" in -analyzers`},
-		{"", "bogus", `unknown analyzer "bogus" in -skip`},
-		{"maprange", "maprange", "both selected and skipped"},
+		{"maprange,maprange", "duplicate analyzer"},
+		{"maprange, maprange", "duplicate analyzer"},
+		{"bogus", `unknown analyzer "bogus" in -analyzers`},
+		{"maprange,", `unknown analyzer "" in -analyzers`},
 	}
 	for _, c := range cases {
-		if _, err := Select(c.names, c.skip); err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("Select(%q, %q) = %v, want error containing %q", c.names, c.skip, err, c.wantErr)
-		}
-	}
-	var everything []string
-	for _, a := range Analyzers() {
-		everything = append(everything, a.Name)
-	}
-	if _, err := Select("", strings.Join(everything, ",")); err == nil || !strings.Contains(err.Error(), "excludes every analyzer") {
-		t.Errorf("skipping the whole suite should fail, got %v", err)
-	}
-}
-
-// TestSelectSkip checks -skip subtracts from the full suite.
-func TestSelectSkip(t *testing.T) {
-	got, err := Select("", "errflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(Analyzers())-1 {
-		t.Fatalf("skip of one analyzer left %d of %d", len(got), len(Analyzers()))
-	}
-	for _, a := range got {
-		if a.Name == "errflow" {
-			t.Fatal("skipped analyzer still selected")
+		if _, err := Select(c.names); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("Select(%q) = %v, want error containing %q", c.names, err, c.wantErr)
 		}
 	}
 }
@@ -53,7 +27,7 @@ func TestSelectSkip(t *testing.T) {
 // TestSelectFromCorruptRegistry pins the duplicate-name registry guard.
 func TestSelectFromCorruptRegistry(t *testing.T) {
 	reg := []*Analyzer{{Name: "dup"}, {Name: "dup"}}
-	if _, err := selectFrom(reg, "", ""); err == nil || !strings.Contains(err.Error(), "registry is corrupt") {
+	if _, err := selectFrom(reg, ""); err == nil || !strings.Contains(err.Error(), "registry is corrupt") {
 		t.Fatalf("duplicate registry names should fail, got %v", err)
 	}
 }

@@ -485,9 +485,6 @@ func (c *Cache) classifySeenOnly(l memtypes.LineAddr) {
 	c.seen.Add(l)
 }
 
-// ResetStats zeroes counters but keeps contents (used at window boundaries).
-func (c *Cache) ResetStats() { c.Stats = Stats{} }
-
 // Utilization returns the fraction of ways currently valid.
 func (c *Cache) Utilization() float64 {
 	n := 0

@@ -99,7 +99,6 @@ func TestChaosStallDRAMFreezesProgress(t *testing.T) {
 func TestChaosCorruptStatsTripsInvariantChecker(t *testing.T) {
 	cfg := chaosConfig(config.Chaos{Enabled: true, Seed: 3, CorruptStatsCycle: 2000})
 	cfg.Check = true
-	cfg.CheckEvery = 1000
 	msg, _ := runRecovering(t, cfg, 1_000_000)
 	if msg == "" {
 		t.Fatal("corrupted statistics never tripped the invariant checker")

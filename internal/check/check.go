@@ -93,11 +93,10 @@ func New(opts ...Option) *Checker {
 	return c
 }
 
-// Attach builds a checker and installs it on the GPU. The sweep interval
-// defaults to the run configuration's CheckEvery (0 = every cycle) unless
-// overridden by an Every option.
+// Attach builds a checker and installs it on the GPU. It sweeps every
+// cycle unless given an Every option.
 func Attach(g *sim.GPU, opts ...Option) *Checker {
-	c := New(append([]Option{Every(int64(g.Config().CheckEvery))}, opts...)...)
+	c := New(opts...)
 	g.SetChecker(c)
 	return c
 }

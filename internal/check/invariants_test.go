@@ -90,16 +90,14 @@ func TestCheckerFailFastPanics(t *testing.T) {
 	g.Run(10)
 }
 
-// TestCheckEveryInterval verifies sweep-interval honouring.
-func TestCheckEveryInterval(t *testing.T) {
+// TestEveryInterval verifies sweep-interval honouring.
+func TestEveryInterval(t *testing.T) {
 	b, _ := workload.ByName("S2")
-	cfg := testConfig()
-	cfg.CheckEvery = 100
-	g, err := sim.New(cfg, b.Kernel, sim.Baseline{})
+	g, err := sim.New(testConfig(), b.Kernel, sim.Baseline{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Attach(g, Collect())
+	c := Attach(g, Every(100), Collect())
 	g.Run(1000)
 	if got := c.Sweeps(); got != 10 {
 		t.Fatalf("swept %d times over 1000 cycles at interval 100, want 10", got)

@@ -34,7 +34,10 @@ type GPU struct {
 	RegFileBytes int
 	// RegFileBanks is the number of register file banks per SM.
 	RegFileBanks int
-	// SharedMemBytes is the shared memory capacity per SM (occupancy only).
+	// SharedMemBytes is the Table 1 shared memory capacity per SM. It is
+	// validated and printed in Table 1, nothing more: kernels declare no
+	// shared memory, so it limits no occupancy (MaxResidentCTAs ignores
+	// it; DESIGN.md §4).
 	SharedMemBytes int
 
 	// L1 data cache geometry per SM.
@@ -63,15 +66,17 @@ type GPU struct {
 	MaxWarpMLP int
 }
 
-// DRAMTiming holds the Table 1 DRAM timing parameters in DRAM-clock cycles.
+// DRAMTiming holds the Table 1 DRAM timing parameters. internal/dram
+// applies RCD, RP, RC, CL and WR unconverted, as core cycles. RRD and RAS
+// are validated and printed in Table 1 but not modelled (DESIGN.md §4).
 type DRAMTiming struct {
 	RCD float64
 	RP  float64
 	RC  float64
-	RRD float64
+	RRD float64 // unmodelled: no activate-to-activate spacing across banks
 	CL  float64
 	WR  float64
-	RAS float64
+	RAS float64 // unmodelled on its own: only RC spaces activates to one bank
 }
 
 // Linebacker describes the Table 3 microarchitectural configuration of the
@@ -178,10 +183,6 @@ type Config struct {
 	// engine's conservation laws are verified while the simulation runs and
 	// any violation aborts the run. Off by default — checking costs time.
 	Check bool
-	// CheckEvery is the cycle interval between invariant sweeps when Check
-	// is enabled (0 = every cycle). Larger intervals trade detection
-	// latency for speed; window-boundary checking uses LB.WindowCycles.
-	CheckEvery int
 	// Strict disables per-SM sleeping: every SM ticks in every cycle,
 	// exactly as the pre-skip engine did. The default (false) lets an SM
 	// sleep through its provably idle cycles, in which its front end only
@@ -327,9 +328,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: LM %d entries not addressable by %d-bit HPC", l.LMEntries, l.HPCBits)
 	case l.BackupBufEntries <= 0:
 		return errors.New("config: BackupBufEntries must be positive")
-	}
-	if c.CheckEvery < 0 {
-		return errors.New("config: CheckEvery must be non-negative")
 	}
 	return c.Chaos.validate()
 }

@@ -1,7 +1,8 @@
 // Package dram models the off-chip DRAM of Table 1: multiple channels of
-// banks with open-row timing (RCD/RP/RC/CL/WR/RAS in core cycles) under an
-// aggregate bandwidth cap of 352.5 GB/s. Scheduling is FR-FCFS-lite: within
-// a channel, the oldest row-hit request is served before older row-misses.
+// banks with open-row timing (RCD/RP/RC/CL/WR in core cycles) under an
+// aggregate bandwidth cap of 352.5 GB/s. Table 1's tRRD and tRAS are not
+// modelled (DESIGN.md §4). Scheduling is FR-FCFS-lite: within a channel,
+// the oldest row-hit request is served before older row-misses.
 //
 // The model is line-granular (128 B per request) and driven by Tick once per
 // core cycle.

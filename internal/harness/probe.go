@@ -23,10 +23,13 @@ func (probePolicy) Name() string { return "probe" }
 // RunProbe executes the benchmark under the baseline policy with a per-load
 // probe attached to every SM and returns merged per-load statistics. The
 // run goes through Simulate like every other point, so it sees the
-// runner's deadline, watchdog, checker and chaos settings. A non-nil error
-// is always a *RunError.
+// runner's deadline, watchdog, checker and chaos settings, and it is
+// memoised by memoKey like every other point. A non-nil error is always a
+// *RunError.
 func (r *Runner) RunProbe(ctx context.Context, bench string) (*ProbeResult, error) {
-	key := "probe|" + bench
+	cfg := r.Cfg
+	pol := probePolicy{}
+	key := r.memoKey(&cfg, "", bench, pol.Name())
 	r.mu.Lock()
 	if res, ok := r.probeCache[key]; ok {
 		r.mu.Unlock()
@@ -34,7 +37,6 @@ func (r *Runner) RunProbe(ctx context.Context, bench string) (*ProbeResult, erro
 	}
 	r.mu.Unlock()
 
-	pol := probePolicy{}
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -42,9 +44,9 @@ func (r *Runner) RunProbe(ctx context.Context, bench string) (*ProbeResult, erro
 			Err: context.Cause(ctx)}
 	}
 	var probes []*stats.LoadProbe
-	_, err := r.execute(ctx, r.Cfg, "", bench, pol, func(g *sim.GPU) {
+	_, err := r.execute(ctx, cfg, "", bench, pol, func(g *sim.GPU) {
 		for _, smx := range g.SMs() {
-			p := stats.NewLoadProbe(int64(r.Cfg.LB.WindowCycles))
+			p := stats.NewLoadProbe(int64(cfg.LB.WindowCycles))
 			probes = append(probes, p)
 			smx.Probe = func(warpSlot int, pc uint32, line memtypes.LineAddr, isStore bool, cycle int64) {
 				if !isStore {

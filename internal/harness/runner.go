@@ -181,7 +181,7 @@ func (r *Runner) cycles(cfg *config.Config) int64 {
 // configs collide only when they are semantically identical. Chaos fields
 // are part of the fingerprint by construction: a faulted run can never
 // alias a clean cache or store entry. The run length is not a Config field;
-// RunCfg adds the runner's Windows next to the fingerprint.
+// memoKey adds the runner's Windows next to the fingerprint.
 //
 // Strict is the one deliberate exclusion: it only chooses whether every SM
 // ticks in every cycle or idle SMs sleep — results are bit-identical in
@@ -191,6 +191,14 @@ func cfgFingerprint(cfg *config.Config) string {
 	canon := *cfg
 	canon.Strict = false
 	return fmt.Sprintf("%v", canon)
+}
+
+// memoKey identifies one simulation: the experiment label, the full config
+// fingerprint, the run length, the benchmark and the policy name. RunCfg
+// keys its memo cache and the store by it and RunProbe keys its memo by
+// it, so a changed config or Windows never returns a stale result.
+func (r *Runner) memoKey(cfg *config.Config, cfgKey, bench, policy string) string {
+	return fmt.Sprintf("%s|%s|w=%d|%s|%s", cfgKey, cfgFingerprint(cfg), r.Windows, bench, policy)
 }
 
 // Run simulates one benchmark under one policy using the runner's base
@@ -227,7 +235,7 @@ func (r *Runner) MustRun(bench string, pol sim.Policy) *sim.Result {
 // matter how many sweep goroutines race to it. Failures are never shared
 // forward: a waiter whose leader failed retries with its own context.
 func (r *Runner) RunCfg(ctx context.Context, cfg config.Config, cfgKey, bench string, pol sim.Policy) (*sim.Result, error) {
-	key := fmt.Sprintf("%s|%s|w=%d|%s|%s", cfgKey, cfgFingerprint(&cfg), r.Windows, bench, pol.Name())
+	key := r.memoKey(&cfg, cfgKey, bench, pol.Name())
 	var f *flight
 	for {
 		r.mu.Lock()

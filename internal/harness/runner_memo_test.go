@@ -44,3 +44,32 @@ func TestRunCfgKeyIncludesPolicy(t *testing.T) {
 		t.Fatal("different benchmarks aliased")
 	}
 }
+
+// TestRunProbeKeyIncludesConfigAndRunLength: a probe is keyed like every
+// other point, so a runner whose Windows or Cfg changed probes afresh
+// instead of returning a stale probe, and restoring both hits the memo.
+func TestRunProbeKeyIncludesConfigAndRunLength(t *testing.T) {
+	r := NewRunner(BenchConfig(), 1)
+	one := r.MustRunProbe("S2")
+	r.Windows = 2
+	two := r.MustRunProbe("S2")
+	if two == one {
+		t.Fatal("a 2-window probe returned the memoised 1-window probe")
+	}
+	base := r.Cfg
+	r.Cfg.GPU.L1Bytes = 16 * 1024
+	if r.MustRunProbe("S2") == two {
+		t.Fatal("a 16 KB-L1 probe returned the memoised probe of the base config")
+	}
+	if got := r.Executions(); got != 3 {
+		t.Fatalf("three distinct probes ran %d simulation(s), want 3", got)
+	}
+
+	r.Cfg, r.Windows = base, 1
+	if r.MustRunProbe("S2") != one {
+		t.Fatal("restoring the config and run length did not return the memoised probe")
+	}
+	if got := r.Executions(); got != 3 {
+		t.Fatalf("memo hit ran a simulation: %d execution(s), want 3", got)
+	}
+}

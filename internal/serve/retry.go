@@ -46,7 +46,8 @@ type jitter struct {
 	rng *rand.Rand
 }
 
-func newJitter(seed uint64) *jitter {
+func newJitter() *jitter {
+	const seed = 1
 	return &jitter{rng: rand.New(rand.NewPCG(seed, seed^0x6c62272e07bb0142))}
 }
 

@@ -39,8 +39,6 @@ type Options struct {
 	JobWorkers int
 	// Retry is the transient-failure retry policy.
 	Retry RetryPolicy
-	// Seed seeds the backoff jitter PRNG (default 1).
-	Seed uint64
 	// RunTimeout bounds one simulation's wall-clock time (0 = none).
 	RunTimeout time.Duration
 	// WatchdogTick enables the no-forward-progress watchdog (0 = off).
@@ -50,8 +48,7 @@ type Options struct {
 	// twin-eligible points without simulating. Disabled at the zero value —
 	// out-of-envelope queries and all sweeps then run the full simulator.
 	Twin bool
-	// TwinCal sets the calibration axes and band parameters (zero value:
-	// twin defaults).
+	// TwinCal sets the calibration axes (zero value: twin defaults).
 	TwinCal twin.Options
 }
 
@@ -64,9 +61,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JobWorkers <= 0 {
 		o.JobWorkers = 2
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	o.Retry = o.Retry.withDefaults()
 	return o
@@ -112,7 +106,7 @@ func New(st *store.Store, opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		store:   st,
-		jit:     newJitter(opts.Seed),
+		jit:     newJitter(),
 		runners: map[runnerKey]*harness.Runner{},
 		jobs:    map[string]*Job{},
 		twins:   map[runnerKey]*twin.Cache{},

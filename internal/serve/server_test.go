@@ -142,7 +142,7 @@ func TestRunWithRetry(t *testing.T) {
 	permanent := &harness.RunError{Bench: "S2", Phase: harness.PhaseSetup,
 		Err: fmt.Errorf("bad: %w", harness.ErrBadConfig)}
 	pol := RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
-	j := newJitter(1)
+	j := newJitter()
 
 	// Transient failures retry up to Attempts, then succeed mid-way.
 	calls := 0

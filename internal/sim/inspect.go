@@ -42,9 +42,6 @@ func (g *GPU) ForEachInflight(fn func(*memtypes.Request)) {
 // into an outstanding L2 fill.
 func (g *GPU) L2WaiterLines() int { return len(g.l2Waiters) }
 
-// L2QueueLen returns the occupancy of the L2 input queue.
-func (g *GPU) L2QueueLen() int { return g.l2Queue.Len() }
-
 // PendingLoadOps returns the load line-requests waiting in the SM's LSU
 // queue (issued by a warp, not yet presented to the L1).
 func (sm *SM) PendingLoadOps() int {
@@ -56,9 +53,6 @@ func (sm *SM) PendingLoadOps() int {
 	}
 	return n
 }
-
-// PendingStoreOps returns the store line-requests waiting in the LSU queue.
-func (sm *SM) PendingStoreOps() int { return sm.lsu.Len() - sm.PendingLoadOps() }
 
 // WaiterLines returns the number of distinct lines with warps waiting on an
 // outstanding L1 fill — by construction equal to the L1's live MSHR count.
@@ -72,12 +66,6 @@ func (sm *SM) WaiterEntries() int {
 		n += len(ws)
 	}
 	return n
-}
-
-// HasWaiter reports whether any warp waits on the line.
-func (sm *SM) HasWaiter(line memtypes.LineAddr) bool {
-	_, ok := sm.waiters[line]
-	return ok
 }
 
 // ForEachWaitedLine visits every line some warp of this SM waits on, in
@@ -98,9 +86,6 @@ func (sm *SM) SumMemPending() int {
 	}
 	return n
 }
-
-// OutboxLen returns the requests queued for hand-off to the interconnect.
-func (sm *SM) OutboxLen() int { return sm.outbox.Len() }
 
 // StateDump renders a deterministic one-look diagnostic snapshot of the
 // machine's in-flight state: where every queue stands and what each SM has

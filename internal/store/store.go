@@ -35,11 +35,14 @@ const (
 )
 
 // Options tunes a Store. The zero value is production-ready.
+//
+// Each handle appends to the one segment it claims on its first Put for as
+// long as it lives; segments are not rotated by size. A size cap would not
+// bound the torn-tail scan, because Open and Refresh read every segment
+// whole, and nothing removes old segments. It would bound only the buffer
+// each such read allocates: at about 1.6 KB a record, a segment reaches
+// 4 MiB only after some 2 600 results.
 type Options struct {
-	// MaxSegmentBytes rotates the active segment once it exceeds this size
-	// (default 4 MiB). Rotation bounds the cost of the torn-tail scan on
-	// open and gives compaction removable units.
-	MaxSegmentBytes int64
 	// LeaseTTL is how stale a lease file must be before another process
 	// may steal it (default 1 minute). Leaseholders renew at TTL/3, so
 	// only a dead process's lease ever expires.
@@ -50,9 +53,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxSegmentBytes <= 0 {
-		o.MaxSegmentBytes = 4 << 20
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = time.Minute
 	}
@@ -89,15 +89,13 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[string]*sim.Result
 	report  LoadReport
-	// scanned tracks, per segment base name, how many bytes have been
-	// consumed, so Refresh re-reads only appended suffixes.
+	// scanned tracks, per foreign segment base name, how many bytes have
+	// been consumed, so Refresh parses only appended suffixes.
 	scanned map[string]int64
 	active  *os.File
 	// activeName is the base name of this handle's own segment ("" until
 	// the first Put creates it).
 	activeName string
-	activeSize int64
-	segIndex   int // index of the active segment (0 = none yet)
 	writeErr   error
 	closed     bool
 }
@@ -183,9 +181,6 @@ func mtimeGranularity(dir string) (time.Duration, error) {
 	return diff, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // segments lists the segment base names in dir, sorted (their zero-padded
 // indices make lexical order creation order).
 func (s *Store) segments() ([]string, error) {
@@ -226,7 +221,7 @@ func segName(idx int) string { return fmt.Sprintf("%s%06d%s", segPrefix, idx, se
 // segments, and new suffixes of known ones). It never modifies foreign
 // files: an incomplete tail is left alone — if its writer is alive the
 // next Refresh consumes it once the fsync lands, and if the writer died
-// the bytes simply stay dead until compaction.
+// the bytes stay dead: every later open counts them as TruncatedBytes.
 func (s *Store) Refresh() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,7 +252,7 @@ func (s *Store) scanSegmentLocked(name string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil // compacted away between ReadDir and here
+			return nil // deleted by hand between ReadDir and here
 		}
 		return fmt.Errorf("store: reading segment %s: %w", path, err)
 	}
@@ -348,7 +343,7 @@ func (s *Store) ensureActiveLocked() error {
 		name := segName(next)
 		f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err == nil {
-			s.active, s.activeName, s.activeSize, s.segIndex = f, name, 0, next
+			s.active, s.activeName = f, name
 			s.report.Segments++
 			return nil
 		}
@@ -394,13 +389,8 @@ func (s *Store) Put(key string, res *sim.Result) error {
 	if err := s.active.Sync(); err != nil {
 		return s.stickyLocked(fmt.Errorf("store: fsync %s: %w", s.activeName, err))
 	}
-	s.activeSize += int64(len(frame))
-	s.scanned[s.activeName] = s.activeSize
 	s.entries[key] = res
 	s.report.Loaded++
-	if s.activeSize >= s.opt.MaxSegmentBytes {
-		s.rotateLocked()
-	}
 	return nil
 }
 
@@ -412,109 +402,9 @@ func (s *Store) stickyLocked(err error) error {
 	return err
 }
 
-// rotateLocked seals the active segment; the next Put claims a fresh one.
-func (s *Store) rotateLocked() {
-	if s.active == nil {
-		return
-	}
-	if err := s.active.Close(); err != nil {
-		s.stickyLocked(fmt.Errorf("store: sealing %s: %w", s.activeName, err)) //lbvet:errok — stickyLocked returns its own argument; the sticky record is the handling
-	}
-	s.active, s.activeName, s.activeSize, s.segIndex = nil, "", 0, 0
-}
-
-// Compact rewrites every live record into one fresh segment and removes
-// the older ones, dropping dead bytes (corrupt regions, torn tails,
-// duplicate keys). The new segment is fully written and fsynced before any
-// old file is removed, so a crash anywhere in between leaves at worst
-// duplicate records — which load dedups — and never a lost one.
-//
-// Compact requires exclusivity: the caller must know no other process is
-// appending to the directory (lbserve compacts only at startup, before
-// serving). Foreign live segments removed mid-append would lose their
-// writers' future records.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.refreshLocked(); err != nil {
-		return err
-	}
-	old, err := s.segments()
-	if err != nil {
-		return err
-	}
-	s.rotateLocked() // seal our own segment; it is removed with the rest
-	next := 1
-	for _, n := range old {
-		if idx := segIndexOf(n); idx >= next {
-			next = idx + 1
-		}
-	}
-	name := segName(next)
-	tmp := filepath.Join(s.dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compaction temp %s: %w", tmp, err)
-	}
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic segment bytes for identical contents
-	var buf []byte
-	for _, k := range keys {
-		payload, err := json.Marshal(record{V: recordVersion, Key: k, Result: s.entries[k]})
-		if err != nil {
-			f.Close() //lbvet:errok — the encode error is the one the caller acts on; the temp file is discarded
-			return fmt.Errorf("store: encoding record for compaction: %w", err)
-		}
-		buf = appendFrame(buf[:0], payload)
-		if _, err := f.Write(buf); err != nil {
-			f.Close() //lbvet:errok — the write error is the one the caller acts on; the temp file is discarded
-			return fmt.Errorf("store: writing compacted segment: %w", err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close() //lbvet:errok — the fsync error is the one the caller acts on; the temp file is discarded
-		return fmt.Errorf("store: fsync compacted segment: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: closing compacted segment: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
-		return fmt.Errorf("store: publishing compacted segment: %w", err)
-	}
-	s.syncDir()
-	var sz int64
-	if st, err := os.Stat(filepath.Join(s.dir, name)); err == nil {
-		sz = st.Size()
-	}
-	s.scanned = map[string]int64{name: sz}
-	for _, n := range old {
-		if err := os.Remove(filepath.Join(s.dir, n)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: removing compacted-away segment %s: %w", n, err)
-		}
-	}
-	s.report.Segments = 1
-	s.report.Skipped = 0
-	s.report.TruncatedBytes = 0
-	return nil
-}
-
-// syncDir fsyncs the directory so a rename survives a crash. Best-effort:
-// some filesystems reject directory fsync, and the rename itself is the
-// correctness boundary.
-func (s *Store) syncDir() {
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return
-	}
-	d.Sync()  //lbvet:errok — best-effort directory metadata flush; the rename is already durable-ordered on journaling filesystems
-	d.Close() //lbvet:errok — read-only handle used only for the fsync above
-}
-
-// Close seals this handle's segment. The directory stays valid for other
-// handles.
+// Close closes this handle's segment and returns the first write failure,
+// which a failed close becomes if nothing failed before it. The directory
+// stays valid for other handles.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -522,6 +412,10 @@ func (s *Store) Close() error {
 		return s.writeErr
 	}
 	s.closed = true
-	s.rotateLocked()
+	if s.active != nil {
+		if err := s.active.Close(); err != nil && s.writeErr == nil {
+			s.writeErr = fmt.Errorf("store: closing %s: %w", s.activeName, err)
+		}
+	}
 	return s.writeErr
 }

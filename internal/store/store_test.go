@@ -201,51 +201,6 @@ func onlySegment(t *testing.T, dir string) string {
 	return matches[0]
 }
 
-func TestRotationAndCompaction(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments force rotation every couple of records.
-	s := openT(t, dir, Options{MaxSegmentBytes: 512})
-	for i := 0; i < 12; i++ {
-		if err := s.Put(fmt.Sprintf("k%02d", i), testResult(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs, err := s.segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("rotation produced %d segments, want several", len(segs))
-	}
-
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	segs, err = s.segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 {
-		t.Fatalf("compaction left %d segments, want 1: %v", len(segs), segs)
-	}
-	if got := s.Len(); got != 12 {
-		t.Fatalf("compaction changed Len to %d, want 12", got)
-	}
-
-	// The compacted directory must reload cleanly and completely.
-	s2 := openT(t, dir, Options{})
-	if got := s2.Len(); got != 12 {
-		t.Fatalf("reload after compaction = %d keys, want 12", got)
-	}
-	if rep := s2.Report(); rep.Skipped != 0 || rep.TruncatedBytes != 0 {
-		t.Fatalf("compacted store reports damage: %+v", rep)
-	}
-	// And stay writable after compaction from the compacting handle too.
-	if err := s.Put("k-post", testResult(99)); err != nil {
-		t.Fatalf("Put after Compact: %v", err)
-	}
-}
-
 func TestRefreshSeesForeignCommits(t *testing.T) {
 	dir := t.TempDir()
 	a := openT(t, dir, Options{})

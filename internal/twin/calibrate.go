@@ -31,28 +31,25 @@ type Axes struct {
 // Options tunes a calibration. The zero value is production-ready.
 type Options struct {
 	Axes Axes
-	// BandFloor is the minimum relative confidence half-width (default
-	// 0.05): even a perfectly linear calibration curve does not promise
-	// sub-5% accuracy between anchors.
-	BandFloor float64
-	// BandMargin multiplies the leave-one-out cross-validation error into
-	// the band (default 2): the LOO error measures curvature at the
-	// anchors, and the margin covers curvature between them.
-	BandMargin float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.Axes.L1KB == nil {
 		o.Axes.L1KB = []int{16, 32, 48, 96, 192}
 	}
-	if o.BandFloor <= 0 {
-		o.BandFloor = 0.05
-	}
-	if o.BandMargin <= 0 {
-		o.BandMargin = 2
-	}
 	return o
 }
+
+const (
+	// bandFloor is the minimum relative confidence half-width: even a
+	// perfectly linear calibration curve does not promise sub-5% accuracy
+	// between anchors.
+	bandFloor = 0.05
+	// bandMargin multiplies the leave-one-out cross-validation error into
+	// the band: the LOO error measures curvature at the anchors, and the
+	// margin covers curvature between them.
+	bandMargin = 2
+)
 
 // defaultSWLAnchors spreads anchors over [1, maxResident].
 func defaultSWLAnchors(maxResident int) []int {
@@ -175,9 +172,9 @@ func Calibrate(ctx context.Context, r *harness.Runner, bench string, opt Options
 	}
 
 	m.Band = Bands{
-		Cache: bandOf(looCache(m.Base, m.LB), opt),
-		SWL:   bandOf(looLimit(m.SWL), opt),
-		VTT:   bandOf(looLimit(m.VTT), opt),
+		Cache: bandOf(looCache(m.Base, m.LB)),
+		SWL:   bandOf(looLimit(m.SWL)),
+		VTT:   bandOf(looLimit(m.VTT)),
 	}
 	m.Roofline = rooflineOf(&baseCfg, m, baseBPI)
 	return m, nil
@@ -248,10 +245,10 @@ func relErr(pred, actual float64) float64 {
 }
 
 // bandOf turns a LOO error into the published half-width.
-func bandOf(looErr float64, opt Options) float64 {
-	band := looErr * opt.BandMargin
-	if band < opt.BandFloor {
-		band = opt.BandFloor
+func bandOf(looErr float64) float64 {
+	band := looErr * bandMargin
+	if band < bandFloor {
+		band = bandFloor
 	}
 	return band
 }

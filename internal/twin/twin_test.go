@@ -152,11 +152,10 @@ func TestBandClampedToIssueRoof(t *testing.T) {
 }
 
 func TestBandOfFloorsAndScales(t *testing.T) {
-	opt := Options{}.withDefaults()
-	if b := bandOf(0, opt); b != opt.BandFloor {
-		t.Errorf("zero LOO error: band %v, want floor %v", b, opt.BandFloor)
+	if b := bandOf(0); b != bandFloor {
+		t.Errorf("zero LOO error: band %v, want floor %v", b, bandFloor)
 	}
-	if b := bandOf(0.10, opt); b != 0.20 {
+	if b := bandOf(0.10); b != 0.20 {
 		t.Errorf("band %v, want 0.10 x margin 2", b)
 	}
 }
