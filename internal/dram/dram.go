@@ -11,6 +11,7 @@ package dram
 import (
 	"github.com/linebacker-sim/linebacker/internal/config"
 	"github.com/linebacker-sim/linebacker/internal/memtypes"
+	"github.com/linebacker-sim/linebacker/internal/ring"
 )
 
 const rowBytes = 2048 // open-row (page) size
@@ -39,15 +40,17 @@ type bank struct {
 	lastActAt int64 // cycle of last activate, for tRC
 }
 
+// pending is one access in service; req is nil for a writeback.
 type pending struct {
 	req  *memtypes.Request
 	done int64
 }
 
-// qent is one transaction-queue entry. The bank/row decomposition of the
-// line address is immutable, so it is computed once at Enqueue instead of
-// by every FR-FCFS window scan (the div/mod chain in bankOf was the
-// scheduler's dominant cost under congestion).
+// qent is one transaction-queue entry; req is nil for a writeback. The
+// bank/row decomposition of the line address is immutable, so it is
+// computed once at enqueue instead of by every FR-FCFS window scan (the
+// div/mod chain in bankOf was the scheduler's dominant cost under
+// congestion).
 type qent struct {
 	req  *memtypes.Request
 	bank int // global bank index: ch*perChan + bk
@@ -113,24 +116,21 @@ type DRAM struct {
 	banks    []bank // channels * banksPerChan
 	perChan  int
 
-	// queues holds one FIFO per channel as a head-indexed slice: heads[ch]
-	// is the index of the oldest waiting entry in queues[ch]. Dequeues from
-	// the FR-FCFS window shift at most window-1 entries and advance the
-	// head; consumed prefixes are compacted away once they dominate the
-	// backing array, keeping both enqueue and dequeue amortised O(1). (The
-	// previous splice-on-dequeue copied the whole tail — quadratic once a
-	// congested run built up a six-figure queue.)
-	queues [][]qent
-	heads  []int
+	// queues holds one FIFO ring per channel, oldest first. A dequeue from
+	// the FR-FCFS window shifts at most window-1 entries (RemoveAt), and a
+	// ring reallocates only at a new high-water mark, so a store-bound
+	// kernel's growing writeback backlog costs no allocation per entry.
+	queues []ring.Buffer[qent]
 
 	// chWake[ch] is a cycle before which channel ch's window holds no
 	// ready bank: a window scan that finds none (with tokens to spare)
 	// records the window's earliest bank readyAt, and schedule returns
 	// without scanning until then. It is exact because a channel's
-	// banks are written only by its own schedule and its window changes
-	// only by an Enqueue (which resets the bound to 0) or by its own
-	// dequeue. An engine cache, not simulated state: the state fingerprints
-	// ignore it.
+	// banks are written only by its own schedule, and its window changes
+	// only by an enqueue that lands inside it (which lowers the bound to
+	// the new entry's bank readyAt) or by its own dequeue, which needs a
+	// ready bank. An engine cache, not simulated state: the state
+	// fingerprints ignore it.
 	chWake []int64
 
 	bytesPerCycle float64
@@ -154,8 +154,7 @@ func New(g *config.GPU) *DRAM {
 		channels:      g.DRAMChannels,
 		perChan:       g.DRAMBanksPerChan,
 		banks:         make([]bank, g.DRAMChannels*g.DRAMBanksPerChan),
-		queues:        make([][]qent, g.DRAMChannels),
-		heads:         make([]int, g.DRAMChannels),
+		queues:        make([]ring.Buffer[qent], g.DRAMChannels),
 		chWake:        make([]int64, g.DRAMChannels),
 		bytesPerCycle: g.BytesPerCycle(),
 	}
@@ -178,55 +177,55 @@ func (d *DRAM) bankOf(l memtypes.LineAddr) (ch, bk int, row int64) {
 
 // Enqueue accepts a line request. The caller keeps ownership of req; the
 // same pointer is surfaced by Tick when service completes.
-func (d *DRAM) Enqueue(req *memtypes.Request) {
-	ch, bk, row := d.bankOf(req.Line)
-	d.queues[ch] = append(d.queues[ch], qent{req: req, bank: ch*d.perChan + bk, row: row})
-	d.chWake[ch] = 0
+func (d *DRAM) Enqueue(req *memtypes.Request) { d.enqueue(req.Line, req) }
+
+// EnqueueWriteback queues a dirty L2 eviction of line. It is timed and
+// counted as a write, like a Store request, but carries no Request: nothing
+// waits for it, so its completion delivers nothing.
+func (d *DRAM) EnqueueWriteback(line memtypes.LineAddr) { d.enqueue(line, nil) }
+
+func (d *DRAM) enqueue(line memtypes.LineAddr, req *memtypes.Request) {
+	ch, bk, row := d.bankOf(line)
+	e := qent{req: req, bank: ch*d.perChan + bk, row: row}
+	q := &d.queues[ch]
+	q.Push(e)
+	// An entry past the window cannot change the scan until a dequeue,
+	// which needs a scan first, moves it in.
+	if q.Len() <= schedWindow {
+		d.chWake[ch] = min(d.chWake[ch], d.banks[e.bank].readyAt)
+	}
 }
 
-// waiting returns channel ch's live FIFO (oldest first).
-func (d *DRAM) waiting(ch int) []qent { return d.queues[ch][d.heads[ch]:] }
-
-// compact drops channel ch's consumed prefix once it dominates the backing
-// array, bounding memory and keeping the head index small. Amortised O(1)
-// per dequeue.
-func (d *DRAM) compact(ch int) {
-	h := d.heads[ch]
-	buf := d.queues[ch]
-	if h < 1024 || h*2 < len(buf) {
-		return
-	}
-	n := copy(buf, buf[h:])
-	tail := buf[n:]
-	for i := range tail {
-		tail[i] = qent{} // release retired *Request pointers
-	}
-	d.queues[ch] = buf[:n]
-	d.heads[ch] = 0
-}
-
-// QueueLen returns the number of waiting (unscheduled) requests.
+// QueueLen returns the number of waiting (unscheduled) entries,
+// writebacks included.
 func (d *DRAM) QueueLen() int {
 	n := 0
 	for ch := range d.queues {
-		n += len(d.queues[ch]) - d.heads[ch]
+		n += d.queues[ch].Len()
 	}
 	return n
 }
 
-// Inflight returns the number of scheduled but not yet completed requests.
+// Inflight returns the number of scheduled but not yet completed entries,
+// writebacks included.
 func (d *DRAM) Inflight() int { return len(d.inflight) }
 
-// ForEach visits every queued and in-service request in unspecified order.
-// Used by the invariant checker; fn must not mutate the model.
+// ForEach visits every queued and in-service request in unspecified order;
+// writebacks carry none and are not visited. Used by the invariant
+// checker; fn must not mutate the model.
 func (d *DRAM) ForEach(fn func(*memtypes.Request)) {
 	for ch := range d.queues {
-		for _, e := range d.waiting(ch) {
-			fn(e.req)
+		q := &d.queues[ch]
+		for i := 0; i < q.Len(); i++ {
+			if e := q.At(i); e.req != nil {
+				fn(e.req)
+			}
 		}
 	}
 	for i := range d.inflight {
-		fn(d.inflight[i].req)
+		if req := d.inflight[i].req; req != nil {
+			fn(req)
+		}
 	}
 }
 
@@ -257,7 +256,9 @@ func (d *DRAM) TickEach(cycle int64, fn func(*memtypes.Request)) {
 		d.Stats.BusyCycles++
 	}
 	for len(d.inflight) > 0 && d.inflight[0].done <= cycle {
-		fn(d.inflight.popRoot().req)
+		if req := d.inflight.popRoot().req; req != nil {
+			fn(req)
+		}
 	}
 }
 
@@ -282,49 +283,43 @@ func (d *DRAM) schedule(ch int, cycle int64) {
 	if cycle < d.chWake[ch] {
 		return
 	}
-	q := d.waiting(ch)
-	if len(q) == 0 || d.tokens < memtypes.LineSize {
+	q := &d.queues[ch]
+	if q.Len() == 0 || d.tokens < memtypes.LineSize {
 		return
 	}
 	// The scheduler inspects a bounded window of the queue head (a real
 	// controller's transaction queue is finite); this also bounds the
-	// per-cycle cost under heavy congestion.
-	window := min(len(q), schedWindow)
-	pick := -1
-	// First pass: oldest row hit on a ready bank.
-	for i := range q[:window] {
-		e := &q[i]
+	// per-cycle cost under heavy congestion. One pass finds the oldest row
+	// hit on a ready bank, else the oldest entry on a ready bank, else the
+	// earliest cycle one of the window's banks is ready.
+	hit, ready := -1, -1
+	wake := d.banks[q.At(0).bank].readyAt
+	for i := range min(q.Len(), schedWindow) {
+		e := q.At(i)
 		b := &d.banks[e.bank]
-		if b.readyAt <= cycle && b.rowValid && b.openRow == e.row {
-			pick = i
+		if b.readyAt > cycle {
+			wake = min(wake, b.readyAt)
+			continue
+		}
+		if b.rowValid && b.openRow == e.row {
+			hit = i
 			break
 		}
+		if ready < 0 {
+			ready = i
+		}
+	}
+	pick := hit
+	if pick < 0 {
+		pick = ready
 	}
 	if pick < 0 {
-		// Second pass: oldest request on a ready bank; failing that, the
-		// earliest cycle one of the window's banks is ready.
-		wake := d.banks[q[0].bank].readyAt
-		for i := range q[:window] {
-			r := d.banks[q[i].bank].readyAt
-			if r <= cycle {
-				pick = i
-				break
-			}
-			wake = min(wake, r)
-		}
-		if pick < 0 {
-			d.chWake[ch] = wake
-			return
-		}
+		d.chWake[ch] = wake
+		return
 	}
-	req, row := q[pick].req, q[pick].row
-	b := &d.banks[q[pick].bank]
-	// Dequeue q[pick] preserving FIFO order: shift the older prefix right
-	// one slot (at most window-1 entries) and advance the head.
-	copy(q[1:pick+1], q[:pick])
-	q[0] = qent{}
-	d.heads[ch]++
-	d.compact(ch)
+	e := q.RemoveAt(pick)
+	req, row := e.req, e.row
+	b := &d.banks[e.bank]
 
 	t := &d.timing
 	var lat float64
@@ -347,7 +342,7 @@ func (d *DRAM) schedule(ch int, cycle int64) {
 	}
 	b.openRow, b.rowValid = row, true
 
-	write := req.Kind == memtypes.Store || req.Kind == memtypes.RegBackup
+	write := req == nil || req.Kind == memtypes.Store || req.Kind == memtypes.RegBackup
 	if write {
 		lat += t.WR
 	}
@@ -365,7 +360,7 @@ func (d *DRAM) schedule(ch int, cycle int64) {
 	if write {
 		d.Stats.Writes++
 		d.Stats.BytesWritten += memtypes.LineSize
-		if req.Kind == memtypes.RegBackup {
+		if req != nil && req.Kind == memtypes.RegBackup {
 			d.Stats.RegBackupBytes += memtypes.LineSize
 		}
 	} else {

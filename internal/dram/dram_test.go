@@ -67,18 +67,54 @@ func TestWriteCountsAndBackupTagging(t *testing.T) {
 	d.Enqueue(&memtypes.Request{Line: 0, Kind: memtypes.RegBackup})
 	d.Enqueue(&memtypes.Request{Line: 128, Kind: memtypes.Store})
 	d.Enqueue(&memtypes.Request{Line: 256, Kind: memtypes.RegRestore})
-	got, _ := drain(d, 3, 100000)
-	if len(got) != 3 {
-		t.Fatalf("completed %d/3", len(got))
+	d.EnqueueWriteback(384)
+	visited := 0
+	d.ForEach(func(*memtypes.Request) { visited++ })
+	if d.QueueLen() != 4 || visited != 3 {
+		t.Fatalf("QueueLen %d and %d requests visited, want 4 queued and the 3 requests visited", d.QueueLen(), visited)
 	}
-	if d.Stats.Writes != 2 || d.Stats.Reads != 1 {
+	var got []*memtypes.Request
+	for cyc := int64(0); cyc < 100000 && d.QueueLen()+d.Inflight() > 0; cyc++ {
+		got = append(got, d.Tick(cyc)...)
+	}
+	if len(got) != 3 || d.QueueLen()+d.Inflight() != 0 {
+		t.Fatalf("delivered %d/3 requests; %d queued, %d in service", len(got), d.QueueLen(), d.Inflight())
+	}
+	if d.Stats.Writes != 3 || d.Stats.Reads != 1 {
 		t.Fatalf("stats = %+v", d.Stats)
 	}
 	if d.Stats.RegBackupBytes != 128 || d.Stats.RegRestoreBytes != 128 {
 		t.Fatalf("backup/restore bytes = %d/%d", d.Stats.RegBackupBytes, d.Stats.RegRestoreBytes)
 	}
-	if d.Stats.TotalBytes() != 3*128 {
+	if d.Stats.TotalBytes() != 4*128 {
 		t.Fatalf("total bytes = %d", d.Stats.TotalBytes())
+	}
+}
+
+// TestWritebackTimedAsStore checks that a writeback, which carries no
+// Request, costs the DRAM exactly what a Store request to the same line
+// does: the same service time, bank state and counters.
+func TestWritebackTimedAsStore(t *testing.T) {
+	store, wb := newDRAM(), newDRAM()
+	const line = memtypes.LineAddr(5 * memtypes.LineSize)
+	store.Enqueue(&memtypes.Request{Line: line, Kind: memtypes.Store})
+	wb.EnqueueWriteback(line)
+	for cyc := int64(0); cyc < 10000; cyc++ {
+		store.Tick(cyc)
+		if n := len(wb.Tick(cyc)); n != 0 {
+			t.Fatalf("cycle %d: a writeback delivered %d requests", cyc, n)
+		}
+		if store.Inflight() != wb.Inflight() || store.QueueLen() != wb.QueueLen() {
+			t.Fatalf("cycle %d: the store and the writeback are out of step", cyc)
+		}
+	}
+	if store.Stats != wb.Stats || store.Stats.Writes != 1 {
+		t.Fatalf("writeback stats %+v, store stats %+v", wb.Stats, store.Stats)
+	}
+	for i := range store.banks {
+		if store.banks[i] != wb.banks[i] {
+			t.Fatalf("bank %d: writeback left %+v, store %+v", i, wb.banks[i], store.banks[i])
+		}
 	}
 }
 
@@ -135,41 +171,71 @@ func TestChannelMapping(t *testing.T) {
 	}
 }
 
-// TestChannelWakeMatchesScan drives a congested DRAM with seeded random
-// enqueues and checks the channel bound before every tick: while a
-// channel's chWake lies ahead of the cycle, no bank in its scheduling
-// window may be ready, so the skipped window scan could not have issued.
-// It requires the bound to skip some scans, or the check is vacuous.
+// TestChannelWakeMatchesScan drives a DRAM with seeded bursts of random
+// requests and writebacks and checks every channel's bound after each
+// enqueue and before each tick: while chWake lies ahead of the cycle, no
+// bank in the channel's scheduling window may be ready before the bound,
+// so every scan it skips would have found no ready bank. Enqueues land
+// both inside the window (which lowers the bound) and past it (which
+// leaves it alone). It requires the bound to skip some scans, or the check
+// is vacuous.
 func TestChannelWakeMatchesScan(t *testing.T) {
 	d := newDRAM()
-	rng := uint64(7)
-	skipped := 0
-	for cyc := int64(0); cyc < 20_000; cyc++ {
-		for n := 0; n < 3; n++ {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			if rng%4 == 0 {
-				d.Enqueue(&memtypes.Request{Line: memtypes.LineAddr(rng % (1 << 24) * memtypes.LineSize), Kind: memtypes.Load})
-			}
-		}
+	check := func(cyc int64, after string) {
+		t.Helper()
 		for ch := range d.chWake {
 			if cyc >= d.chWake[ch] {
 				continue
 			}
-			skipped++
-			q := d.waiting(ch)
-			for _, e := range q[:min(len(q), 16)] {
-				if r := d.banks[e.bank].readyAt; r <= cyc {
-					t.Fatalf("cycle %d: channel %d bound %d skips a scan, but bank %d is ready at %d",
-						cyc, ch, d.chWake[ch], e.bank, r)
+			q := &d.queues[ch]
+			for i := range min(q.Len(), schedWindow) {
+				if b := q.At(i).bank; d.banks[b].readyAt < d.chWake[ch] {
+					t.Fatalf("cycle %d, after %s: channel %d bound %d skips scans, but bank %d is ready at %d",
+						cyc, after, ch, d.chWake[ch], b, d.banks[b].readyAt)
 				}
+			}
+		}
+	}
+	rng := uint64(7)
+	skipped, inside, past := 0, 0, 0
+	for cyc := int64(0); cyc < 20_000; cyc++ {
+		// Bursts fill the queues past the window; the lulls between them
+		// drain the queues back into it.
+		rate := uint64(2)
+		if cyc/2000%2 == 1 {
+			rate = 32
+		}
+		for n := 0; n < 3; n++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			if rng%rate != 0 {
+				continue
+			}
+			line := memtypes.LineAddr(rng >> 20 % (1 << 24) * memtypes.LineSize)
+			if rng%3 == 0 {
+				d.EnqueueWriteback(line)
+			} else {
+				d.Enqueue(&memtypes.Request{Line: line, Kind: memtypes.Load})
+			}
+			if d.queues[d.channelOf(line)].Len() <= schedWindow {
+				inside++
+			} else {
+				past++
+			}
+			check(cyc, "an enqueue")
+		}
+		check(cyc, "the enqueues")
+		for ch := range d.chWake {
+			if cyc < d.chWake[ch] {
+				skipped++
 			}
 		}
 		d.Tick(cyc)
 	}
-	if skipped == 0 {
-		t.Fatal("the channel bound never skipped a scan")
+	if skipped == 0 || inside == 0 || past == 0 {
+		t.Fatalf("vacuous: %d channel scans skipped, %d enqueues inside the window, %d past it", skipped, inside, past)
 	}
-	t.Logf("%d channel scans skipped; %d reads", skipped, d.Stats.Reads)
+	t.Logf("%d channel scans skipped; %d enqueues inside the window, %d past it; %d reads, %d writes",
+		skipped, inside, past, d.Stats.Reads, d.Stats.Writes)
 }

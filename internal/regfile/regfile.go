@@ -39,21 +39,27 @@ type RegFile struct {
 	allocs map[int]allocation // CTA slot -> range
 	used   int                // warp-registers allocated
 
-	// bankUse is the per-bank access count within the current cycle.
-	bankUse   []uint16
-	bankCycle int64
+	// bankUsed is the cycle of each bank's last access (-1 before the
+	// first). Every caller passes the current cycle, which never decreases
+	// within a run, so an access finding its own cycle there is a
+	// same-cycle conflict, with no per-cycle reset.
+	bankUsed []int64
 
 	Stats Stats
 }
 
 // New builds the register file for the given GPU configuration.
 func New(g *config.GPU) *RegFile {
-	return &RegFile{
+	rf := &RegFile{
 		totalRegs: g.WarpRegisters(),
 		banks:     g.RegFileBanks,
 		allocs:    make(map[int]allocation),
-		bankUse:   make([]uint16, g.RegFileBanks),
+		bankUsed:  make([]int64, g.RegFileBanks),
 	}
+	for b := range rf.bankUsed {
+		rf.bankUsed[b] = -1
+	}
+	return rf
 }
 
 // TotalRegs returns the number of warp-registers.
@@ -137,36 +143,33 @@ func (rf *RegFile) LargestLiveRN() int {
 	return lrn
 }
 
-func (rf *RegFile) bankOf(rn int) int { return rn % rf.banks }
-
 // touch registers an access to rn at the cycle for conflict accounting and
 // returns true if the access collided with an earlier same-cycle access to
 // the same bank.
-func (rf *RegFile) touch(rn int, cycle int64) bool {
-	if cycle != rf.bankCycle {
-		for i := range rf.bankUse {
-			rf.bankUse[i] = 0
-		}
-		rf.bankCycle = cycle
+func (rf *RegFile) touch(rn int, cycle int64) bool { return rf.touchBank(rn%rf.banks, cycle) }
+
+func (rf *RegFile) touchBank(b int, cycle int64) bool {
+	if rf.bankUsed[b] != cycle {
+		rf.bankUsed[b] = cycle
+		return false
 	}
-	b := rf.bankOf(rn)
-	rf.bankUse[b]++
-	if rf.bankUse[b] > 1 {
-		rf.Stats.BankConflicts++
-		return true
-	}
-	return false
+	rf.Stats.BankConflicts++
+	return true
 }
 
 // AccessOperands models the operand traffic of one issued warp instruction:
 // n register accesses at distinct (modelled) registers starting at baseRN.
 // It returns the number of bank conflicts incurred.
 func (rf *RegFile) AccessOperands(baseRN, n int, cycle int64) int {
+	rf.Stats.OperandAccesses += int64(n)
 	conflicts := 0
-	for i := 0; i < n; i++ {
-		rf.Stats.OperandAccesses++
-		if rf.touch(baseRN+i, cycle) {
+	b := baseRN % rf.banks
+	for range n {
+		if rf.touchBank(b, cycle) {
 			conflicts++
+		}
+		if b++; b == rf.banks {
+			b = 0
 		}
 	}
 	return conflicts

@@ -188,3 +188,72 @@ func TestAllocNoOverlapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// counterBanks is the per-cycle counter array the bank stamps replaced:
+// every new cycle clears the counters, and an access to a bank already
+// counted this cycle is a conflict.
+type counterBanks struct {
+	use       []int
+	cycle     int64
+	conflicts int64
+}
+
+func (c *counterBanks) touch(rn int, cycle int64) bool {
+	if cycle != c.cycle {
+		clear(c.use)
+		c.cycle = cycle
+	}
+	b := rn % len(c.use)
+	c.use[b]++
+	if c.use[b] > 1 {
+		c.conflicts++
+		return true
+	}
+	return false
+}
+
+// TestBankStampsMatchCounters drives random access sequences, at
+// non-decreasing cycles as the engine issues them, through the register
+// file and through the counter-array reference, and requires the same
+// verdict for every access. The bank counts include a non-power of two and
+// counts below 3, where one three-operand instruction wraps onto a bank it
+// already used.
+func TestBankStampsMatchCounters(t *testing.T) {
+	for _, banks := range []int{1, 2, 3, 5, 32} {
+		cfg := config.Default()
+		cfg.GPU.RegFileBanks = banks
+		rf := New(&cfg.GPU)
+		ref := &counterBanks{use: make([]int, banks)}
+		rng := uint64(banks)*0x9E3779B97F4A7C15 + 1
+		var cycle int64
+		for i := 0; i < 20_000; i++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			if rng%3 == 0 {
+				cycle += int64(rng>>4) % 3
+			}
+			rn := int(rng>>8) % rf.TotalRegs()
+			if rng%2 == 0 {
+				n := 1 + int(rng>>20)%4
+				want := 0
+				for j := 0; j < n; j++ {
+					if ref.touch(rn+j, cycle) {
+						want++
+					}
+				}
+				if got := rf.AccessOperands(rn, n, cycle); got != want {
+					t.Fatalf("banks %d, access %d: AccessOperands(%d, %d, %d) = %d conflicts, reference %d",
+						banks, i, rn, n, cycle, got, want)
+				}
+				continue
+			}
+			if got, want := rf.VictimRead(rn, cycle), ref.touch(rn, cycle); got != want {
+				t.Fatalf("banks %d, access %d: VictimRead(%d, %d) = %v, reference %v", banks, i, rn, cycle, got, want)
+			}
+		}
+		if rf.Stats.BankConflicts != ref.conflicts || ref.conflicts == 0 {
+			t.Fatalf("banks %d: %d conflicts, reference %d", banks, rf.Stats.BankConflicts, ref.conflicts)
+		}
+	}
+}

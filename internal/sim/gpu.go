@@ -327,22 +327,20 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 		g.dram.Enqueue(req)
 		return true
 	case memtypes.Store:
-		// Death point: the L2 is write-allocate, so a store retires here.
-		// Any dirty writeback it displaces is built before the incoming
-		// request is recycled (Put zeroes the object). Recycling goes back
-		// to the issuing SM's pool — the L2 phase is serial, and returning
-		// objects to their origin keeps every per-SM free list balanced.
-		res, ev, evicted := g.l2.Store(req.Line)
-		if evicted && ev.Dirty {
-			g.dram.Enqueue(g.writeback(ev.Line, req.SM))
+		// Death point: the L2 is write-allocate, so a store retires here,
+		// back to the issuing SM's pool — the L2 phase is serial, and
+		// returning objects to their origin keeps every per-SM free list
+		// balanced. A dirty line it displaces goes to DRAM as a
+		// writeback, which carries no Request.
+		if _, ev, evicted := g.l2.Store(req.Line); evicted && ev.Dirty {
+			g.dram.EnqueueWriteback(ev.Line)
 		}
-		_ = res
 		g.sms[req.SM].pool.Put(req)
 		return true
 	case memtypes.Load:
 		res, ev, evicted := g.l2.Load(req.Line, 0, true)
 		if evicted && ev.Dirty {
-			g.dram.Enqueue(g.writeback(ev.Line, req.SM))
+			g.dram.EnqueueWriteback(ev.Line)
 		}
 		switch res {
 		case cache.Hit:
@@ -361,21 +359,9 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 	}
 }
 
-// writeback builds a pooled dirty-eviction store request, drawn from the
-// triggering SM's pool (only ever called from the serial memory phases).
-func (g *GPU) writeback(line memtypes.LineAddr, smID int) *memtypes.Request {
-	wb := g.sms[smID].pool.Get()
-	wb.Line, wb.Kind, wb.SM, wb.WarpID = line, memtypes.Store, smID, -1
-	return wb
-}
-
 // dramComplete routes a finished DRAM access.
 func (g *GPU) dramComplete(req *memtypes.Request, cyc int64) {
 	switch req.Kind {
-	case memtypes.Store:
-		// Writeback completion: nothing to deliver. Death point — recycle
-		// to the owning SM's pool (the DRAM phase is serial).
-		g.sms[req.SM].pool.Put(req)
 	case memtypes.Load:
 		g.l2.Fill(req.Line)
 		g.fromL2.Send(req, cyc)

@@ -89,6 +89,10 @@ type SM struct {
 	order      [][]int
 	schedWake  []int64
 
+	// opOffset[pc] is the first operand register of the instruction at pc,
+	// relative to the issuing warp's first register (see execute).
+	opOffset []int
+
 	lsu      ring.Buffer[lsuOp]
 	lsuWidth int
 	waiters  map[memtypes.LineAddr][]*Warp
@@ -178,6 +182,10 @@ func newSM(id int, cfg *config.Config, k *workload.Kernel) *SM {
 	}
 	sm.ctas = make([]CTASlotInfo, sm.maxResidentCTAs)
 	sm.freeSlots = sm.maxResidentCTAs
+	sm.opOffset = make([]int, len(k.Body))
+	for pc := range sm.opOffset {
+		sm.opOffset[pc] = pc * 3 % max(k.RegsPerWarp()-2, 1)
+	}
 	return sm
 }
 
@@ -494,8 +502,7 @@ func (sm *SM) execute(w *Warp, cycle int64) {
 	sm.Stats.Retired++
 	// Operand collector traffic: ~3 register accesses per instruction.
 	base := sm.ctas[w.CTASlot].FirstRN + w.Idx*sm.kernel.RegsPerWarp()
-	opReg := base + (w.pcIdx*3)%maxi(sm.kernel.RegsPerWarp()-2, 1)
-	sm.rf.AccessOperands(opReg, 3, cycle)
+	sm.rf.AccessOperands(base+sm.opOffset[w.pcIdx], 3, cycle)
 
 	switch ins.Op {
 	case workload.Compute:
@@ -830,11 +837,4 @@ func (s *spareLists[T]) put(ws []T) {
 
 func warpIndex(sm *SM, w *Warp) int {
 	return w.CTASlot*sm.warpsPerCTA + w.Idx
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

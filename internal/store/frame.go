@@ -47,8 +47,10 @@ type frameScan struct {
 	// decides which, it just refuses to consume them.
 	consumed int64
 	// skipped counts corrupt regions (bad magic runs, checksum failures)
-	// that were stepped over, each worth one load-report skip.
-	skipped int
+	// that were stepped over, each worth one load-report skip;
+	// tailSkipped is the part of them that lies in the tail.
+	skipped     int
+	tailSkipped int
 	// tail is the number of unconsumed trailing bytes.
 	tail int64
 }
@@ -62,6 +64,7 @@ func scanFrames(data []byte, onRecord func(payload []byte)) frameScan {
 	off := int64(0)
 	n := int64(len(data))
 	inCorruption := false
+	consumedSkips := 0 // sc.skipped when sc.consumed last moved
 	for off < n {
 		// Resynchronise: find the next magic at or after off.
 		if n-off < int64(len(frameMagic)) || string(data[off:off+4]) != string(frameMagic[:]) {
@@ -103,9 +106,11 @@ func scanFrames(data []byte, onRecord func(payload []byte)) frameScan {
 		onRecord(payload)
 		off += frameHeaderLen + plen
 		sc.consumed = off
+		consumedSkips = sc.skipped
 		inCorruption = false
 	}
 	sc.tail = n - sc.consumed
+	sc.tailSkipped = sc.skipped - consumedSkips
 	return sc
 }
 

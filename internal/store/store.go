@@ -3,6 +3,8 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -37,11 +39,10 @@ const (
 // Options tunes a Store. The zero value is production-ready.
 //
 // Each handle appends to the one segment it claims on its first Put for as
-// long as it lives; segments are not rotated by size. A size cap would not
-// bound the torn-tail scan, because Open and Refresh read every segment
-// whole, and nothing removes old segments. It would bound only the buffer
-// each such read allocates: at about 1.6 KB a record, a segment reaches
-// 4 MiB only after some 2 600 results.
+// long as it lives; segments are not rotated by size. Open reads every
+// segment whole and Refresh only what was appended since, so a size cap
+// would bound only the buffer Open allocates per segment: at about 1.6 KB
+// a record, a segment reaches 4 MiB only after some 2 600 results.
 type Options struct {
 	// LeaseTTL is how stale a lease file must be before another process
 	// may steal it (default 1 minute). Leaseholders renew at TTL/3, so
@@ -89,9 +90,10 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[string]*sim.Result
 	report  LoadReport
-	// scanned tracks, per foreign segment base name, how many bytes have
-	// been consumed, so Refresh parses only appended suffixes.
-	scanned map[string]int64
+	// scanned tracks, per foreign segment base name, how far the segment
+	// has been consumed and what its tail added to the report, so Refresh
+	// reads only appended suffixes and counts each tail once.
+	scanned map[string]segScan
 	active  *os.File
 	// activeName is the base name of this handle's own segment ("" until
 	// the first Put creates it).
@@ -128,7 +130,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		dir:     dir,
 		opt:     opt,
 		entries: map[string]*sim.Result{},
-		scanned: map[string]int64{},
+		scanned: map[string]segScan{},
 	}
 	if err := s.refreshLocked(); err != nil {
 		return nil, err
@@ -245,22 +247,29 @@ func (s *Store) refreshLocked() error {
 	return nil
 }
 
+// segScan is how far the scans of one foreign segment have got: the bytes
+// consumed, and the truncated bytes and corrupt regions of the unconsumed
+// tail past them. The next scan reads that tail again, so its counts
+// replace these instead of adding to them.
+type segScan struct {
+	consumed    int64
+	tail        int64
+	tailSkipped int
+}
+
 // scanSegmentLocked reads the unconsumed suffix of one segment and loads
 // its intact records.
 func (s *Store) scanSegmentLocked(name string) error {
 	path := filepath.Join(s.dir, name)
-	data, err := os.ReadFile(path)
+	seg := s.scanned[name]
+	data, err := readSuffix(path, seg.consumed)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil // deleted by hand between ReadDir and here
 		}
 		return fmt.Errorf("store: reading segment %s: %w", path, err)
 	}
-	from := s.scanned[name]
-	if int64(len(data)) <= from {
-		return nil
-	}
-	sc := scanFrames(data[from:], func(payload []byte) {
+	sc := scanFrames(data, func(payload []byte) {
 		var rec record
 		if err := json.Unmarshal(payload, &rec); err != nil || rec.V != recordVersion || rec.Key == "" || rec.Result == nil {
 			s.report.Skipped++
@@ -271,10 +280,23 @@ func (s *Store) scanSegmentLocked(name string) error {
 			s.report.Loaded++
 		}
 	})
-	s.scanned[name] = from + sc.consumed
-	s.report.Skipped += sc.skipped
-	s.report.TruncatedBytes += sc.tail
+	s.report.Skipped += sc.skipped - seg.tailSkipped
+	s.report.TruncatedBytes += sc.tail - seg.tail
+	s.scanned[name] = segScan{consumed: seg.consumed + sc.consumed, tail: sc.tail, tailSkipped: sc.tailSkipped}
 	return nil
+}
+
+// readSuffix returns the bytes of the file at path past offset off.
+func readSuffix(path string, off int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(io.NewSectionReader(f, off, math.MaxInt64-off))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return data, err
 }
 
 // Get returns the committed result for key, if any. It consults only this

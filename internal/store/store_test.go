@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -233,6 +234,78 @@ func TestRefreshSeesForeignCommits(t *testing.T) {
 	}
 	if _, ok := a.Get("k2"); !ok {
 		t.Fatal("handle a cannot see handle b's segment")
+	}
+}
+
+// TestRefreshCountsTailsOnce damages the tails of two foreign segments, a
+// torn record in one and trailing garbage in the other, and requires
+// Refresh to leave the load report as Open found it: an unconsumed tail is
+// read again on every Refresh, but counted once. A record appended after
+// the garbage is then loaded, the garbage stays one skipped region, and
+// the segment's tail is gone from TruncatedBytes.
+func TestRefreshCountsTailsOnce(t *testing.T) {
+	dir := t.TempDir()
+	for h := 0; h < 2; h++ {
+		w := openT(t, dir, Options{})
+		for i := 0; i < 3; i++ {
+			if err := w.Put(fmt.Sprintf("k%d-%d", h, i), testResult(int64(3*h+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Close()
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("want two segments, got %v (err %v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0], data[:len(data)-11], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendTo := func(path string, b []byte) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendTo(segs[1], []byte("junk!"))
+
+	s := openT(t, dir, Options{})
+	want := s.Report()
+	if want.Loaded != 5 || want.Skipped != 1 || want.TruncatedBytes <= 5 {
+		t.Fatalf("report after Open = %+v, want 5 loaded, 1 skipped and both tails truncated", want)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Report(); got != want {
+			t.Fatalf("report after Refresh %d = %+v, want %+v as after Open", i+1, got, want)
+		}
+	}
+
+	payload, err := json.Marshal(record{V: recordVersion, Key: "late", Result: testResult(9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendTo(segs[1], appendFrame(nil, payload))
+	if err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	got := s.Report()
+	if _, ok := s.Get("late"); !ok || got.Loaded != 6 || got.Skipped != 1 || got.TruncatedBytes != want.TruncatedBytes-5 {
+		t.Fatalf("report after a record lands past the garbage = %+v, want 6 loaded, 1 skipped, %d truncated bytes",
+			got, want.TruncatedBytes-5)
 	}
 }
 
