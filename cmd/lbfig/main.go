@@ -41,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		outDir  = fs.String("out", "artifacts", "directory for -svg output")
 		windows = fs.Int("windows", 16, "run length in monitoring windows")
 		timeout = fs.Duration("timeout", 0, "wall-clock limit per simulation (0 = none)")
-		strict  = fs.Bool("strict", false, "tick every SM in every cycle (by default idle SMs sleep); results are identical in both modes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return cliutil.WrapParse(err)
@@ -61,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *paper {
 		cfg = harness.PaperConfig()
 	}
-	cfg.Strict = *strict
 	r := harness.NewRunner(cfg, *windows)
 	r.Timeout = *timeout
 

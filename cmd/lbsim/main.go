@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		checkFlag  = fs.Bool("check", false, "sweep runtime conservation invariants every cycle; abort on violation")
 		timeout    = fs.Duration("timeout", 0, "wall-clock limit for the run (0 = none)")
 		chaosSpec  = fs.String("chaos", "", "fault-injection spec, e.g. panic:sm:5000 or stall-dram:2000 (see internal/chaos)")
-		strict     = fs.Bool("strict", false, "tick every SM in every cycle (by default idle SMs sleep); results are identical in both modes")
+		strict     = fs.Bool("strict", false, "re-derive every head-of-line MSHR stall each cycle (by default an LSU parks on one until the next fill); results are identical in both modes")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)

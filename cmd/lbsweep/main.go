@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		storeDir   = fs.String("store", "", "result store directory checkpointing completed points; an existing one resumes the sweep")
 		chaosSpec  = fs.String("chaos", "", "fault-injection spec, e.g. panic:sm:5000 (see internal/chaos)")
 		twinMode   = fs.Bool("twin", false, "answer the cache sweep from a calibrated analytical twin where in-envelope (simulates only the calibration anchors and any out-of-envelope point)")
-		strict     = fs.Bool("strict", false, "tick every SM in every cycle (by default idle SMs sleep); results are identical in both modes")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -91,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if cfg.Chaos, err = chaos.ParseSpec(*chaosSpec); err != nil {
 		return cliutil.Usagef("%v", err)
 	}
-	cfg.Strict = *strict
 
 	r := harness.NewRunner(cfg, *windows)
 	r.Timeout = *timeout

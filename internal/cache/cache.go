@@ -430,11 +430,10 @@ func (c *Cache) Store(l memtypes.LineAddr) (Result, Eviction, bool) {
 			return Hit, Eviction{}, false
 		}
 		// Write-evict: invalidate on hit — but never a pending line, whose
-		// way is reserved by an in-flight fill (the same guard Invalidate
-		// applies). Clobbering it would free the reservation while the
-		// Allocated MSHR entry survives, so the later Fill would find no
-		// line and the way accounting would be wrong. The store is
-		// forwarded below either way.
+		// way is reserved by an in-flight fill. Clobbering it would free
+		// the reservation while the Allocated MSHR entry survives, so the
+		// later Fill would find no line and the way accounting would be
+		// wrong. The store is forwarded below either way.
 		if !ln.pending {
 			*ln = line{}
 		}
@@ -460,16 +459,6 @@ func (c *Cache) Store(l memtypes.LineAddr) (Result, Eviction, bool) {
 	}
 	*victim = line{valid: true, dirty: true, tag: l, lru: c.stamp}
 	return Miss, ev, evicted
-}
-
-// Invalidate drops the line if present, returning whether it was present.
-// Used by Linebacker's store handling against victim lines and by tests.
-func (c *Cache) Invalidate(l memtypes.LineAddr) bool {
-	if ln := c.find(l); ln != nil && !ln.pending {
-		*ln = line{}
-		return true
-	}
-	return false
 }
 
 // classifyMiss records whether a load miss is cold or capacity/conflict.

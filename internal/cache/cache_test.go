@@ -134,7 +134,8 @@ func TestWriteEvictStoreHitInvalidates(t *testing.T) {
 // invalidate it, freeing the way reserved by the in-flight fill while the
 // Allocated MSHR entry survived — Fill then found no line to complete and
 // the reservation accounting was wrong. The pending line must survive the
-// store, exactly as Invalidate guards it.
+// store; a store hit on a filled line still invalidates it
+// (TestWriteEvictStoreHitInvalidates).
 func TestWriteEvictStoreOnPendingLine(t *testing.T) {
 	c := New(1024, 2, 8, false)
 	a := lineAt(0, 0, c)
@@ -221,19 +222,6 @@ func TestPendingWaysNotEvicted(t *testing.T) {
 	c.Fill(d)
 	if !c.Probe(a) || !c.Probe(b) {
 		t.Fatal("pending lines lost")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := New(1024, 2, 8, false)
-	a := lineAt(0, 0, c)
-	c.Load(a, 0, true)
-	c.Fill(a)
-	if !c.Invalidate(a) {
-		t.Fatal("invalidate present line = false")
-	}
-	if c.Invalidate(a) {
-		t.Fatal("invalidate absent line = true")
 	}
 }
 

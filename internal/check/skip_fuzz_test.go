@@ -14,15 +14,15 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
-// TestSkipFuzzStrictEquivalence is the randomized arm of the cycle-skipping
-// invisibility proof: the golden matrix pins two configurations forever,
+// TestSkipFuzzStrictEquivalence is the randomized arm of the run-mode
+// equivalence proof: the golden matrix pins two configurations forever,
 // this test draws fresh ones every run. Each trial perturbs the machine
-// along the axes the event protocol actually reasons about — cache
-// geometry (MSHR stall spans), DRAM timing (bank wake cycles), scheduler
-// gating (SWL limits), policy — then runs the same (bench, config) strict
-// and skipping and demands the full Result (including Extra) and the final
-// StateDump match exactly. Seeds are fixed per trial index so any failure
-// reproduces deterministically.
+// along the axes the engine's caches reason about — cache geometry (MSHR
+// stall spans the LSU parks through), DRAM timing (channel wake bounds),
+// scheduler gating (SWL limits), policy — then runs the same (bench,
+// config) strict and default and demands the full Result (including
+// Extra) and the final StateDump match exactly. Seeds are fixed per trial
+// index so any failure reproduces deterministically.
 //
 // The trialNN runs draw baseline, SWL or Linebacker. The schemeNN runs
 // cover the schemes whose policy events come from ranking and window
@@ -75,7 +75,7 @@ func TestSkipFuzzStrictEquivalence(t *testing.T) {
 }
 
 // skipFuzzTrial draws one machine from rng, then the policy (drawPolicy),
-// the benchmark and the run length, and compares a strict and a skipping
+// the benchmark and the run length, and compares a strict and a default
 // run of it.
 func skipFuzzTrial(t *testing.T, rng *rand.Rand, drawPolicy func(*config.Config) func() sim.Policy) {
 	cfg := harness.BenchConfig()
@@ -98,7 +98,7 @@ func skipFuzzTrial(t *testing.T, rng *rand.Rand, drawPolicy func(*config.Config)
 	if !ok {
 		t.Fatalf("workload %s not found", bench)
 	}
-	run := func(strict bool) (*sim.Result, string, int64) {
+	run := func(strict bool) (*sim.Result, string) {
 		c := cfg
 		c.Strict = strict
 		g, err := sim.New(c, b.Kernel, mk())
@@ -106,17 +106,17 @@ func skipFuzzTrial(t *testing.T, rng *rand.Rand, drawPolicy func(*config.Config)
 			t.Fatalf("strict=%v: %v", strict, err)
 		}
 		g.Run(cycles)
-		return g.Collect(), g.StateDump(), g.SleptSMCycles()
+		return g.Collect(), g.StateDump()
 	}
-	rs, ds, _ := run(true)
-	rk, dk, slept := run(false)
+	rs, ds := run(true)
+	rk, dk := run(false)
 	if !reflect.DeepEqual(rs, rk) {
-		t.Errorf("bench %s: Result diverged between strict and skipping:\nstrict:   %+v\nskipping: %+v",
+		t.Errorf("bench %s: Result diverged between strict and default:\nstrict:  %+v\ndefault: %+v",
 			bench, rs, rk)
 	}
 	if ds != dk {
-		t.Errorf("bench %s: StateDump diverged:\n--- strict ---\n%s\n--- skipping ---\n%s",
+		t.Errorf("bench %s: StateDump diverged:\n--- strict ---\n%s\n--- default ---\n%s",
 			bench, ds, dk)
 	}
-	t.Logf("bench=%s policy=%s slept=%d/%d SM-cycles", bench, mk().Name(), slept, cycles*int64(cfg.GPU.NumSMs))
+	t.Logf("bench=%s policy=%s MSHR stalls=%d in %d SM-cycles", bench, mk().Name(), rk.L1.MSHRStalls, cycles*int64(cfg.GPU.NumSMs))
 }

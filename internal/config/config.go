@@ -183,14 +183,14 @@ type Config struct {
 	// engine's conservation laws are verified while the simulation runs and
 	// any violation aborts the run. Off by default — checking costs time.
 	Check bool
-	// Strict disables per-SM sleeping: every SM ticks in every cycle,
-	// exactly as the pre-skip engine did. The default (false) lets an SM
-	// sleep through its provably idle cycles, in which its front end only
-	// counts its idle schedulers and stalled LSU head while its policy's
-	// OnCycle still runs; the rest of the machine ticks in every cycle in
-	// both modes. Results are bit-identical in both modes — the
-	// field is deliberately excluded from the harness memo fingerprint,
-	// and a test matrix proves both properties (DESIGN.md §10).
+	// Strict keeps the LSU from parking: each cycle it re-derives a
+	// head-of-line MSHR stall from the L1, which makes a strict run the
+	// per-cycle reference for the park. The default (false) parks an LSU
+	// on such a stall until the next fill, counting the stall without
+	// re-deriving it. Every SM ticks in every cycle in both modes, and
+	// results are bit-identical in both — the field is deliberately
+	// excluded from the harness memo fingerprint, and a test matrix
+	// proves both properties (DESIGN.md §10).
 	Strict bool
 	// Chaos configures deterministic fault injection (internal/chaos).
 	Chaos Chaos

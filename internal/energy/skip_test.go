@@ -8,12 +8,12 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
-// TestEnergySkipInvariance closes the reporting chain over the
-// cycle-skipping engine: the energy model consumes only Result counters,
-// and those are bit-identical between strict and skipping runs, so every
-// energy figure must be too — float-for-float, not approximately. A
-// divergence here means a per-cycle accrual leaked into a skipped span
-// (e.g. DRAM busy accounting feeding the background-energy term).
+// TestEnergySkipInvariance closes the reporting chain over the two run
+// modes: the energy model consumes only Result counters, and those are
+// bit-identical between strict and default runs, so every energy figure
+// must be too — float-for-float, not approximately. A divergence here
+// means a run-mode cache leaked into a counter the model reads (e.g. a
+// parked LSU that missed a fill, shifting every later L1 and DRAM count).
 func TestEnergySkipInvariance(t *testing.T) {
 	cfg := config.Default()
 	cfg.GPU.NumSMs = 4
@@ -38,7 +38,7 @@ func TestEnergySkipInvariance(t *testing.T) {
 	}
 	es, ek := run(true), run(false)
 	if es != ek {
-		t.Fatalf("energy breakdown diverged between run modes:\nstrict:   %+v\nskipping: %+v", es, ek)
+		t.Fatalf("energy breakdown diverged between run modes:\nstrict:  %+v\ndefault: %+v", es, ek)
 	}
 	if es.Total() == 0 {
 		t.Fatal("energy model returned zero total; the comparison is vacuous")

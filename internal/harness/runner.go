@@ -183,10 +183,11 @@ func (r *Runner) cycles(cfg *config.Config) int64 {
 // alias a clean cache or store entry. The run length is not a Config field;
 // memoKey adds the runner's Windows next to the fingerprint.
 //
-// Strict is the one deliberate exclusion: it only chooses whether every SM
-// ticks in every cycle or idle SMs sleep — results are bit-identical in
-// both run modes (test-enforced, DESIGN.md §10) — so such runs share memo
-// and store entries instead of re-simulating.
+// Strict is the one deliberate exclusion: it only chooses whether an LSU
+// re-derives a head-of-line MSHR stall every cycle or parks on it until
+// the next fill — results are bit-identical in both run modes
+// (test-enforced, DESIGN.md §10) — so such runs share memo and store
+// entries instead of re-simulating.
 func cfgFingerprint(cfg *config.Config) string {
 	canon := *cfg
 	canon.Strict = false

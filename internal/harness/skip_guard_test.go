@@ -11,7 +11,7 @@ import (
 
 // TestWatchdogFiresOnWedgedRun pins the forward-progress watchdog on a
 // wedged default-mode run: a chaos-stalled DRAM livelocks the machine, and
-// the run keeps ticking (a fault injector disables sleeping) with a flat
+// the run keeps ticking (a fault injector disables parking) with a flat
 // committed-instruction count. The rapidly advancing cycle count must not
 // pass for liveness: the watchdog has to see the flat progress counter and
 // abort the run. This is the -short suite's watchdog coverage;
@@ -42,25 +42,25 @@ func TestWatchdogFiresOnWedgedRun(t *testing.T) {
 }
 
 // TestMemoStrictAliasing proves the memo deliberately aliases the two run
-// modes: results are bit-identical strict vs skipping (test-enforced), so
-// a skipping run may satisfy a strict request from cache and vice versa —
+// modes: results are bit-identical strict vs default (test-enforced), so
+// a default run may satisfy a strict request from cache and vice versa —
 // cfgFingerprint canonicalises Strict away.
 func TestMemoStrictAliasing(t *testing.T) {
-	skip := BenchConfig()
-	skip.Strict = false
-	strict := skip
+	def := BenchConfig()
+	def.Strict = false
+	strict := def
 	strict.Strict = true
 
-	r := NewRunner(skip, 2)
-	first := r.MustRunCfg(skip, "", "S2", sim.Baseline{})
+	r := NewRunner(def, 2)
+	first := r.MustRunCfg(def, "", "S2", sim.Baseline{})
 	if n := r.Executions(); n != 1 {
 		t.Fatalf("first run executed %d simulations, want 1", n)
 	}
 	second := r.MustRunCfg(strict, "", "S2", sim.Baseline{})
 	if n := r.Executions(); n != 1 {
-		t.Fatalf("strict request after skipping run executed %d simulations, want 1 (memo aliased)", n)
+		t.Fatalf("strict request after default run executed %d simulations, want 1 (memo aliased)", n)
 	}
 	if first != second {
-		t.Fatal("strict request returned a different result pointer than the memoised skipping run")
+		t.Fatal("strict request returned a different result pointer than the memoised default run")
 	}
 }

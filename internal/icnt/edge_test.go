@@ -35,7 +35,7 @@ func TestLinkEdgeCases(t *testing.T) {
 			}
 			var got []*memtypes.Request
 			for cyc, want := range tc.deliver {
-				out := l.Deliver(int64(cyc))
+				out := deliver(l, int64(cyc))
 				if len(out) != want {
 					t.Fatalf("cycle %d: delivered %d, want %d", cyc, len(out), want)
 				}
@@ -79,7 +79,7 @@ func TestForEachCensus(t *testing.T) {
 			t.Fatalf("census missed line %d", line)
 		}
 	}
-	if got := l.Deliver(4); len(got) != 2 {
+	if got := deliver(l, 4); len(got) != 2 {
 		t.Fatalf("post-census delivery broken: %d", len(got))
 	}
 }

@@ -83,8 +83,8 @@ func (l *Link) Send(req *memtypes.Request, cycle int64) {
 }
 
 // DeliverEach hands up to perCycle requests whose traversal has completed
-// by the given cycle to fn, in FIFO order of readiness. This is the
-// engine-facing path: it allocates nothing.
+// by the given cycle to fn, in FIFO order of readiness. It allocates
+// nothing.
 func (l *Link) DeliverEach(cycle int64, fn func(*memtypes.Request)) {
 	for n := 0; n < l.perCycle; n++ {
 		first := -1
@@ -100,15 +100,6 @@ func (l *Link) DeliverEach(cycle int64, fn func(*memtypes.Request)) {
 		l.Delivered++
 		fn(req)
 	}
-}
-
-// Deliver returns up to perCycle requests whose traversal has completed by
-// the given cycle, in FIFO order of readiness. Convenience wrapper over
-// DeliverEach for tests and tools; the returned slice is freshly allocated.
-func (l *Link) Deliver(cycle int64) []*memtypes.Request {
-	var out []*memtypes.Request
-	l.DeliverEach(cycle, func(req *memtypes.Request) { out = append(out, req) })
-	return out
 }
 
 // Pending returns the number of in-flight requests.

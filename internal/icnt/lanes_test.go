@@ -62,7 +62,8 @@ func TestLanesDeliverInReadySeqOrder(t *testing.T) {
 				want = append(want, oracle[len(want)].req)
 			}
 			oracle = oracle[len(want):]
-			got := l.Deliver(cyc)
+			var got []*memtypes.Request
+			l.DeliverEach(cyc, func(req *memtypes.Request) { got = append(got, req) })
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d cycle %d: delivered %v, want %v", seed, cyc, reqSeqs(got), reqSeqs(want))
 			}

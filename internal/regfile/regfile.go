@@ -124,12 +124,6 @@ func (rf *RegFile) Free(ctaSlot int) {
 	rf.used -= a.count
 }
 
-// Range returns the [first, first+count) allocation of a CTA slot.
-func (rf *RegFile) Range(ctaSlot int) (first, count int, ok bool) {
-	a, found := rf.allocs[ctaSlot]
-	return a.first, a.count, found
-}
-
 // LargestLiveRN returns the highest register number of any allocation, or
 // -1 when empty — the paper's LRN used to gate VTT partition activation.
 func (rf *RegFile) LargestLiveRN() int {

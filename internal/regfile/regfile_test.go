@@ -80,15 +80,24 @@ func TestDoubleAllocPanics(t *testing.T) {
 	rf.Alloc(0, 10)
 }
 
+// TestRangeAndLRN: an allocation occupies [first, first+count), so the
+// largest live register number is the end of the highest range, and it
+// falls back when that range is freed.
 func TestRangeAndLRN(t *testing.T) {
 	rf := newRF()
-	rf.Alloc(7, 64)
-	first, count, ok := rf.Range(7)
-	if !ok || first != 0 || count != 64 {
-		t.Fatalf("Range = %d,%d,%v", first, count, ok)
+	first, ok := rf.Alloc(7, 64)
+	if !ok || first != 0 {
+		t.Fatalf("Alloc(7, 64) = %d, %v, want 0, true", first, ok)
 	}
-	if _, _, ok := rf.Range(8); ok {
-		t.Fatal("Range of unallocated slot should be !ok")
+	if first, ok = rf.Alloc(8, 32); !ok || first != 64 {
+		t.Fatalf("Alloc(8, 32) = %d, %v, want 64, true", first, ok)
+	}
+	if rf.LargestLiveRN() != 95 {
+		t.Fatalf("LRN = %d, want 95", rf.LargestLiveRN())
+	}
+	rf.Free(8)
+	if rf.LargestLiveRN() != 63 {
+		t.Fatalf("LRN after freeing the upper range = %d, want 63", rf.LargestLiveRN())
 	}
 	rf.Free(7)
 	if rf.LargestLiveRN() != -1 {

@@ -9,11 +9,11 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/memtypes"
 )
 
-// This file holds the issue stage's full-scan oracle and the gate-flipping
-// test policy, and exports them with the package's other test policies to
-// pickwarp_test.go. That test lives in package sim_test because it also
-// drives the production gating schemes (internal/schemes, internal/core),
-// which import this package.
+// This file holds the issue stage's full-scan oracle and the gate-pulsing
+// and gate-flipping test policies, and exports them with the package's
+// other test policies to pickwarp_test.go. That test lives in package
+// sim_test because it also drives the production gating schemes
+// (internal/schemes, internal/core), which import this package.
 
 // refPickWarp is the stateless full scan that pickWarp's age lists and wake
 // bound replaced: greedy first, then the oldest ready, gate-admitted warp
@@ -55,6 +55,35 @@ func refPickWarp(sm *SM, sched int, cycle int64) (int, int64) {
 		}
 	}
 	return best, future
+}
+
+// pulsePolicy gates every CTA off during alternating windows of `period`
+// cycles and declares only OnCycle: it flips its gates at period
+// boundaries and calls GateOpened when they open, so during an "off" phase
+// the schedulers answer from their wake bounds past gated ready warps.
+type pulsePolicy struct {
+	period int64
+}
+
+func (p pulsePolicy) Name() string { return "pulse" }
+func (p pulsePolicy) Attach(sm *SM) SMPolicy {
+	return &pulseState{sm: sm, period: p.period}
+}
+
+type pulseState struct {
+	BasePolicy
+	sm     *SM
+	period int64
+	on     bool
+}
+
+func (s *pulseState) CTAActive(int) bool { return s.on }
+func (s *pulseState) OnCycle(cycle int64) {
+	was := s.on
+	s.on = (cycle/s.period)%2 == 0
+	if s.on && !was {
+		s.sm.GateOpened()
+	}
 }
 
 // flipPolicy flips issue gates from a seeded generator: every load outcome
@@ -129,8 +158,8 @@ type PickWarpTally struct {
 
 // CheckPickWarp compares pickWarp with refPickWarp on every scheduler of
 // the SM at the given cycle: the pick, and after a failed call the wake
-// bound, which stepSM reads as the scheduler's part of the SM's wake. It
-// also checks every age list against the full scan's candidates: the
+// bound, which answers the scheduler's next calls below it. It also
+// checks every age list against the full scan's candidates: the
 // alive warps under the MLP limit, by (seq, idx). The wake bound is
 // restored after each probe, so the probe leaves the run exactly as it
 // found it (gate calls are pure reads).

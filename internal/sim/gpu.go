@@ -52,11 +52,11 @@ type GPU struct {
 	checker CycleChecker
 	faults  FaultInjector
 
-	// smSleep enables per-SM sleeping (see stepSM in event.go). RunCtx
-	// turns it on unless the run is strict or has a fault injector: an
-	// injector may mutate SM state behind the SMs' wake caches, so a
-	// fault run ticks every SM in every cycle.
-	smSleep bool
+	// lsuPark lets an LSU park on a head-of-line MSHR stall (SM.parked).
+	// RunCtx turns it on unless the run is strict or has a fault injector:
+	// an injector may mutate SM state behind the park, so a fault run
+	// re-derives every stall, as a strict one does.
+	lsuPark bool
 
 	// progress publishes the cumulative committed-instruction count at
 	// RunCtx checkpoints. It is the only GPU state a harness watchdog may
@@ -180,18 +180,18 @@ const checkpointCycles = 8192
 // and the machine is left in a consistent between-cycles state — Collect
 // and StateDump remain safe, but the run must not be resumed.
 //
-// The loop ticks every cycle. Unless cfg.Strict is set or a fault injector
-// is attached, SMs sleep through their provably idle cycles (event.go);
-// results and state dumps are bit-identical to strict mode
-// (test-enforced, DESIGN.md §10). A livelocked machine keeps ticking with
-// a flat committed-instruction count, so an external forward-progress
-// watchdog still trips.
+// The loop ticks every SM in every cycle. Unless cfg.Strict is set or a
+// fault injector is attached, an LSU parks on a head-of-line MSHR stall
+// until the next fill (SM.parked); results and state dumps are
+// bit-identical to strict mode (test-enforced, DESIGN.md §10). A
+// livelocked machine keeps ticking with a flat committed-instruction
+// count, so an external forward-progress watchdog still trips.
 func (g *GPU) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
 	every := int64(g.cfg.LB.WindowCycles)
 	if every <= 0 || every > checkpointCycles {
 		every = checkpointCycles
 	}
-	g.smSleep = !g.cfg.Strict && g.faults == nil
+	g.lsuPark = !g.cfg.Strict && g.faults == nil
 	g.progress.Store(g.committed())
 	for {
 		if maxCycles > 0 && g.cycle >= maxCycles {
@@ -220,6 +220,16 @@ func (g *GPU) committed() int64 {
 	}
 	return n
 }
+
+// SkippedCycles returns 0: the engine ticks every cycle.
+//
+// Deprecated: it stays only because cmd/lbbench reads it.
+func (g *GPU) SkippedCycles() int64 { return 0 }
+
+// SleptSMCycles returns 0: every SM ticks in every cycle, so no SM sleeps.
+//
+// Deprecated: it stays only because cmd/lbbench reads it.
+func (g *GPU) SleptSMCycles() int64 { return 0 }
 
 // Progress returns the committed-instruction count published at the last
 // RunCtx checkpoint. Safe to call from other goroutines while the
@@ -251,9 +261,13 @@ func (g *GPU) Step() {
 	g.stage("dispatch", cyc)
 	g.dispatch(cyc)
 
+	// Every SM ticks, then runs its policy's OnCycle. An idle SM's tick is
+	// one compare against its wake bound and one idle count per scheduler,
+	// plus one stall count while its LSU is parked (DESIGN.md §10).
 	g.stage("sm", cyc)
 	for _, sm := range g.sms {
-		g.stepSM(sm, cyc)
+		sm.tick(cyc, g.lsuPark)
+		sm.pol.OnCycle(cyc)
 	}
 	// Drain the per-SM outboxes into the interconnect in SM-index order.
 	// An outbox also holds requests issued outside the SM phase (register

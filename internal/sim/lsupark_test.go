@@ -9,7 +9,7 @@ import (
 )
 
 // TestLSUParkRule holds the checker's lsu-park rule to both sides of its
-// contract. A memory-starved sleeping run must park its LSUs and pass the
+// contract. A memory-starved default run must park its LSUs and pass the
 // rule after every cycle; a park the L1 does not justify, forced onto an
 // LSU whose head could move, must fail it.
 func TestLSUParkRule(t *testing.T) {
@@ -44,7 +44,7 @@ func TestLSUParkRule(t *testing.T) {
 	g.Run(20_000)
 	t.Logf("%d parked SM-cycles in %d cycles", parked, g.Cycle())
 	if parked == 0 {
-		t.Fatal("the sleeping run never parked an LSU, so the rule was never exercised")
+		t.Fatal("the default run never parked an LSU, so the rule was never exercised")
 	}
 
 	// Stepped by hand the engine never parks, so an LSU holding a load has

@@ -29,9 +29,8 @@ type SMPolicy interface {
 	//
 	// Gates (CTAActive and WarpActive) are pure functions of policy state.
 	// The issue stage keeps each scheduler's wake bound past a gated-off
-	// ready warp, and a sleeping SM wakes at the least of those bounds, so
-	// a hook that may turn an answer from false to true must call
-	// SM.GateOpened on its SM. Closing a gate needs no call: it only
+	// ready warp, so a hook that may turn an answer from false to true must
+	// call SM.GateOpened on its SM. Closing a gate needs no call: it only
 	// delays picks. See DESIGN.md §10.
 	CTAActive(slot int) bool
 
@@ -85,24 +84,24 @@ type SMPolicy interface {
 	OnRegResponse(req *memtypes.Request, cycle int64)
 
 	// OnCycle runs once per cycle for every SM, after its front end ticked
-	// or slept (DESIGN.md §10); schemes implement window boundaries,
-	// backup draining, throttle decisions and per-cycle integrals here. A
-	// sleeping SM owes its policy nothing: the hook runs in slept cycles
-	// too, and a gate it opens wakes the SM through SM.GateOpened.
+	// (DESIGN.md §10); schemes implement window boundaries, backup
+	// draining, throttle decisions and per-cycle integrals here. A gate it
+	// opens calls SM.GateOpened like any other hook, and the SM's
+	// schedulers rescan in its next tick.
 	OnCycle(cycle int64)
 
 	// NextEvent is called by nothing in this module.
 	//
-	// Deprecated: OnCycle runs in every cycle, so a policy advertises no
-	// events. It stays only because cmd/lbbench's tracing decorator
+	// Deprecated: OnCycle runs in every cycle, so the engine asks a policy
+	// for no events. It stays only because cmd/lbbench's tracing decorator
 	// forwards it.
 	NextEvent(now int64) (int64, bool)
 
 	// SkipCycles is called by nothing in this module.
 	//
-	// Deprecated: OnCycle runs in slept cycles too, so a policy owes no
-	// closed form of its per-cycle work. It stays only because
-	// cmd/lbbench's tracing decorator forwards it.
+	// Deprecated: OnCycle runs in every cycle, so a policy owes no closed
+	// form of its per-cycle work. It stays only because cmd/lbbench's
+	// tracing decorator forwards it.
 	SkipCycles(from, to int64)
 }
 

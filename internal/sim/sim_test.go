@@ -31,13 +31,15 @@ func tinyKernel(iters, grid int) *workload.Kernel {
 
 // TestRunToCompletion drains small grids in both run modes. A drain is
 // where the machine goes idle piece by piece, so besides the completion
-// and instruction counts the strict and sleeping runs must agree exactly,
-// Result and StateDump, and the sleeping run must actually have slept.
+// and instruction counts the strict and default runs must agree exactly,
+// Result and StateDump. grid40 fills its MSHRs, so its default run must
+// have parked an LSU (a parking run parks at its first MSHR stall); grid8
+// never stalls.
 func TestRunToCompletion(t *testing.T) {
 	for _, grid := range []int{8, 40} {
 		t.Run(fmt.Sprintf("grid%d", grid), func(t *testing.T) {
 			k := tinyKernel(30, grid)
-			run := func(strict bool) (*Result, string, int64) {
+			run := func(strict bool) (*Result, string) {
 				cfg := testConfig()
 				cfg.Strict = strict
 				g, err := New(cfg, k, Baseline{})
@@ -57,20 +59,20 @@ func TestRunToCompletion(t *testing.T) {
 				if r.IPC() <= 0 {
 					t.Fatal("IPC must be positive")
 				}
-				return r, g.StateDump(), g.SleptSMCycles()
+				return r, g.StateDump()
 			}
-			rs, ds, _ := run(true)
-			rk, dk, slept := run(false)
+			rs, ds := run(true)
+			rk, dk := run(false)
 			if !reflect.DeepEqual(rs, rk) {
-				t.Errorf("Result diverged between strict and sleeping:\nstrict:   %+v\nsleeping: %+v", rs, rk)
+				t.Errorf("Result diverged between strict and default:\nstrict:  %+v\ndefault: %+v", rs, rk)
 			}
 			if ds != dk {
-				t.Errorf("StateDump diverged:\n--- strict ---\n%s\n--- sleeping ---\n%s", ds, dk)
+				t.Errorf("StateDump diverged:\n--- strict ---\n%s\n--- default ---\n%s", ds, dk)
 			}
-			if slept == 0 {
-				t.Error("sleeping run never slept an SM-cycle; the comparison exercised nothing")
+			if grid == 40 && rk.L1.MSHRStalls == 0 {
+				t.Error("default run never stalled on a full MSHR, so it never parked; the comparison exercised nothing")
 			}
-			t.Logf("drained in %d cycles, %d slept SM-cycles", rk.Cycles, slept)
+			t.Logf("drained in %d cycles, %d MSHR stalls", rk.Cycles, rk.L1.MSHRStalls)
 		})
 	}
 }

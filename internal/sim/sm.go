@@ -110,28 +110,13 @@ type SM struct {
 
 	pol SMPolicy
 
-	// nextWake is this SM's wake, the earliest cycle at which its front
-	// end can change state again, computed by stepSM after every tick in
-	// both run modes (see event.go). While the run clock is below it, a
-	// sleeping engine replaces the tick with the accruals of sleepCycle;
-	// simulated state is bit-identical either way. Reset to 0 by the three
-	// inputs that can wake a sleeping SM: a response delivery
-	// (handleResponse), a CTA launch (launchCTA) and an opened gate
-	// (GateOpened).
-	//
-	// parked is the LSU half of the sleeper, set only by a sleeping
-	// engine: the LSU head failed processOp's structural check (line
-	// neither resident nor outstanding, MSHRs full), and only a fill can
-	// change that verdict. Until handleResponse clears it, runLSU and
-	// sleepCycle apply the stall's one side effect without re-deriving the
-	// head's address or probing the L1.
-	//
-	// slept counts the cycles this SM slept (sleepCycle) instead of
-	// ticking. All three are engine caches and diagnostics, never part of
-	// Result or StateDump.
-	nextWake int64
-	parked   bool
-	slept    int64
+	// parked is set only when the engine parks (GPU.lsuPark): the LSU
+	// head failed processOp's structural check (line neither resident nor
+	// outstanding, MSHRs full), and only a fill can change that verdict.
+	// Until handleResponse clears it, runLSU applies the stall's one side
+	// effect without re-deriving the head's address or probing the L1. An
+	// engine cache, never part of Result or StateDump.
+	parked bool
 
 	// Probe, when non-nil, observes every load and store line-request
 	// (used by the Figure 2/3 working-set probes and the trace recorder).
@@ -262,8 +247,7 @@ func (sm *SM) FreeSlot() int {
 }
 
 // HasFreeSlot reports whether any CTA slot is free — the O(1) form of
-// FreeSlot() >= 0, for the dispatch stage and the event probe, both of
-// which test eligibility every cycle.
+// FreeSlot() >= 0, for the dispatch stage, which tests it every cycle.
 func (sm *SM) HasFreeSlot() bool { return sm.freeSlots > 0 }
 
 // SendRegTraffic emits one register backup (write) or restore (read) line
@@ -342,8 +326,6 @@ func (sm *SM) launchCTA(seq int, cycle int64) bool {
 	sm.freeSlots--
 	sm.Stats.CTALaunches++
 	sm.pol.OnCTALaunch(slot, seq, cycle)
-	// External input: fresh warps mean fresh events (see event.go).
-	sm.nextWake = 0
 	return true
 }
 
@@ -369,44 +351,47 @@ func (sm *SM) Busy() bool {
 // --- per-cycle pipeline ---
 
 // tick advances the SM's front end one cycle: schedulers issue and the
-// LSU retires line requests; stepSM runs the policy afterwards. park lets
-// the LSU park on a head-of-line stall (sleeping engines only; see
-// parked). The return value reports whether the front end did any work
-// (issued an instruction or moved an LSU request). After a tick that did
-// none, no scheduler can pick a warp before its wake bound and the LSU is
-// empty or stalled at its head, which is what stepSM's wake computation
-// relies on (see event.go).
-func (sm *SM) tick(cycle int64, park bool) bool {
-	issued := sm.issue(cycle)
-	moved := sm.runLSU(cycle, park)
-	return issued || moved
+// LSU retires line requests; Step runs the policy afterwards. park lets
+// the LSU park on a head-of-line stall (see parked). An SM with nothing to
+// do pays one compare and one idle count per scheduler and, with a
+// non-empty LSU, one runLSU call, which only counts the stall while the
+// LSU is parked.
+func (sm *SM) tick(cycle int64, park bool) {
+	sm.issue(cycle)
+	if sm.lsu.Len() > 0 {
+		sm.runLSU(cycle, park)
+	}
 }
 
-// issue runs the GTO warp schedulers; true if any of them issued. A
-// scheduler that issues nothing leaves its wake bound at the earliest
-// readyAt of the warps in its age list (pickWarp), which is its part of
-// the SM's wake (stepSM).
-func (sm *SM) issue(cycle int64) bool {
-	ns := sm.cfg.GPU.NumSchedulers
-	issued := false
-	for s := 0; s < ns; s++ {
+// issue runs the GTO warp schedulers. A scheduler below its wake bound
+// counts an idle cycle without calling pickWarp, which would answer -1
+// from the same compare.
+func (sm *SM) issue(cycle int64) {
+	for s := range sm.schedWake {
+		if cycle < sm.schedWake[s] {
+			sm.Stats.IssueIdle++
+			continue
+		}
 		w := sm.pickWarp(s, cycle)
 		if w < 0 {
 			sm.Stats.IssueIdle++
 			continue
 		}
-		issued = true
 		sm.lastIssued[s] = w
 		sm.execute(&sm.warps[w], cycle)
 	}
-	return issued
 }
+
+// neverWake is the wake bound of a scheduler none of whose listed warps
+// will become ready on its own: only launchCTA, finishLoad or GateOpened
+// can lower it again.
+const neverWake = int64(1)<<62 - 1
 
 // pickWarp implements greedy-then-oldest among the scheduler's warps and
 // returns the picked warp, or -1. A failed call leaves sm.schedWake[sched]
 // at the earliest readyAt among the scheduler's alive, under-MLP warps
 // that are not ready yet (neverWake if none): the exact value a full scan
-// would find, and what stepSM folds into the SM's wake.
+// would find.
 //
 // Two pieces of per-scheduler state keep the common cases short. The age
 // list sm.order[sched] holds exactly the scheduler's alive warps under the
@@ -453,15 +438,12 @@ func (sm *SM) pickWarp(sched int, cycle int64) int {
 // GateOpened tells the issue stage that a CTAActive or WarpActive answer of
 // this SM's policy may have turned from false to true, so every scheduler
 // rescans at its next call instead of trusting its wake bound (see
-// pickWarp). Policies call it from the hook that opens the gate. It also
-// resets the SM's wake like a response or a launch, so a gate opened in
-// OnCycle, which runs in slept cycles too, makes the SM tick the next
-// cycle instead of sleeping past it.
+// pickWarp). Policies call it from the hook that opens the gate, OnCycle
+// included: the schedulers see the zeroed bounds in the SM's next tick.
 func (sm *SM) GateOpened() {
 	for s := range sm.schedWake {
 		sm.schedWake[s] = 0
 	}
-	sm.nextWake = 0
 }
 
 // CheckIssueBound verifies the wake bound's invariant ahead of the given
@@ -469,18 +451,11 @@ func (sm *SM) GateOpened() {
 // call without a scan, so none of its alive, under-MLP warps the policy
 // admits may have a readyAt below the bound. A policy that opens a gate
 // without calling GateOpened trips it once a warp it admitted sits below
-// such a bound. The SM's wake must not outlast its schedulers' bounds
-// either: an SM that sleeps past next while some bound lies below its wake
-// would miss the pick that bound allows, which is the state a GateOpened
-// that forgot the sleeper leaves. Read-only; for the invariant checker.
+// such a bound. Read-only; for the invariant checker.
 func (sm *SM) CheckIssueBound(next int64) error {
 	ns := sm.cfg.GPU.NumSchedulers
 	mlp := sm.cfg.GPU.MaxWarpMLP
 	for s, wake := range sm.schedWake {
-		if sm.nextWake > next && wake < sm.nextWake {
-			return fmt.Errorf("SM%d sched %d: the SM sleeps until %d past its scheduler's wake bound %d",
-				sm.id, s, sm.nextWake, wake)
-		}
 		if wake <= next {
 			continue
 		}
@@ -603,18 +578,19 @@ func (sm *SM) retireWarp(w *Warp, cycle int64) {
 	}
 }
 
-// runLSU retires up to lsuWidth line requests; true if any moved. A head
-// that stalls (MSHR full) blocks the queue and retries next cycle. With
-// park set the LSU parks on it instead: until a fill clears parked, each
-// retry only counts the stall, which is all processOp's retry would do.
-func (sm *SM) runLSU(cycle int64, park bool) bool {
+// runLSU retires up to lsuWidth line requests. A head that stalls (MSHR
+// full) blocks the queue and retries next cycle. With park set the LSU
+// parks on it instead: until a fill clears parked, each retry only counts
+// the stall, which is all processOp's retry would do. Strict runs never
+// park: they re-derive the stall every cycle and stay the per-cycle
+// reference the strict-vs-default oracles hold the parked verdict to.
+func (sm *SM) runLSU(cycle int64, park bool) {
 	if park && sm.parked {
 		sm.l1.Stats.MSHRStalls++
-		return false
+		return
 	}
-	n := 0
 	stalled := false
-	for ; n < sm.lsuWidth && sm.lsu.Len() > 0; n++ {
+	for n := 0; n < sm.lsuWidth && sm.lsu.Len() > 0; n++ {
 		if !sm.processOp(sm.lsu.Front(), cycle) {
 			stalled = true
 			break
@@ -622,7 +598,6 @@ func (sm *SM) runLSU(cycle int64, park bool) bool {
 		sm.lsu.Pop()
 	}
 	sm.parked = park && stalled
-	return n > 0
 }
 
 // CheckLSUPark verifies a parked LSU's verdict: its head must be a load
@@ -785,12 +760,10 @@ func (sm *SM) finishLoad(w *Warp, cycle, latency int64) {
 // waiter is woken (loads) or the policy has observed the completion
 // (register traffic) — no component retains the pointer past those calls.
 func (sm *SM) handleResponse(req *memtypes.Request, cycle int64) {
-	// External input: whatever wake cycle the SM advertised is stale now —
-	// a fill can unstall the LSU head, wake waiters, retire warps. It is
-	// also the only event that can clear a head-of-line stall: stores queue
-	// behind the head, the L1 is write-no-allocate, Resize runs only at
-	// Attach and no policy hook writes L1 tags or MSHRs.
-	sm.nextWake = 0
+	// A fill is the only event that can clear a head-of-line stall, so
+	// any response unparks the LSU: stores queue behind the head, the L1
+	// is write-no-allocate, Resize runs only at Attach and no policy hook
+	// writes L1 tags or MSHRs.
 	sm.parked = false
 	switch req.Kind {
 	case memtypes.Load:

@@ -2,11 +2,13 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -190,6 +192,69 @@ func TestCorruptInteriorRecordSkipped(t *testing.T) {
 		if _, ok := s2.Get(k); !ok {
 			t.Errorf("intact record %s lost to a neighbour's corruption", k)
 		}
+	}
+}
+
+// TestTornFragmentThenRecord: a failed Write leaves a torn fragment, and
+// the next Put appends its record after it in the same segment, so the
+// segment reads frame(k0) + frame(k1)[:n] + frame(k2). The scanner must
+// resynchronise on k2's magic: k0 and k2 load, the fragment counts as one
+// skip, and no byte is left as a truncated tail. The cut lands inside the
+// magic, inside the rest of the header, and inside the payload.
+func TestTornFragmentThenRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	for i := 0; i < 3; i++ {
+		if err := s.Put(fmt.Sprintf("k%d", i), testResult(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	seg := onlySegment(t, dir)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for rest := data; len(rest) > 0; {
+		n := frameHeaderLen + int(binary.LittleEndian.Uint32(rest[4:8]))
+		frames = append(frames, rest[:n])
+		rest = rest[n:]
+	}
+	if len(frames) != 3 {
+		t.Fatalf("segment holds %d frames, want 3", len(frames))
+	}
+
+	for _, cut := range []struct {
+		name string
+		n    int
+	}{
+		{"magic", 2},
+		{"header", 8},
+		{"payload", frameHeaderLen + (len(frames[1])-frameHeaderLen)/2},
+		{"last-byte", len(frames[1]) - 1},
+	} {
+		t.Run(cut.name, func(t *testing.T) {
+			dir := t.TempDir()
+			torn := slices.Concat(frames[0], frames[1][:cut.n], frames[2])
+			if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := openT(t, dir, Options{})
+			rep := s.Report()
+			if rep.Loaded != 2 || rep.Skipped != 1 || rep.TruncatedBytes != 0 {
+				t.Fatalf("report %+v, want 2 loaded, 1 skipped, 0 truncated bytes", rep)
+			}
+			for _, i := range []int64{0, 2} {
+				got, ok := s.Get(fmt.Sprintf("k%d", i))
+				if !ok || !reflect.DeepEqual(got, testResult(i)) {
+					t.Errorf("k%d = %+v, %v; want %+v", i, got, ok, testResult(i))
+				}
+			}
+			if _, ok := s.Get("k1"); ok {
+				t.Error("the torn record k1 loaded")
+			}
+		})
 	}
 }
 
