@@ -248,8 +248,10 @@ func (d *DRAM) TickEach(cycle int64, fn func(*memtypes.Request)) {
 	if d.tokens > d.maxTokens {
 		d.tokens = d.maxTokens
 	}
-	// Schedule new work per channel.
-	for ch := 0; ch < d.channels; ch++ {
+	// Schedule new work per channel. Starting a transfer spends a line of
+	// tokens and nothing refills them within the cycle, so the loop stops
+	// once a line no longer fits.
+	for ch := 0; ch < d.channels && d.tokens >= memtypes.LineSize; ch++ {
 		d.schedule(ch, cycle)
 	}
 	if len(d.inflight) > 0 {
@@ -278,13 +280,14 @@ const schedWindow = 16
 // schedule starts at most one request on the channel this cycle (the data
 // bus is shared), preferring the oldest row hit (FR-FCFS-lite). A scan that
 // finds no ready bank records the channel's chWake bound instead, an engine
-// cache whose answers equal the scan's.
+// cache whose answers equal the scan's. TickEach calls it only while a
+// line's worth of tokens is left.
 func (d *DRAM) schedule(ch int, cycle int64) {
 	if cycle < d.chWake[ch] {
 		return
 	}
 	q := &d.queues[ch]
-	if q.Len() == 0 || d.tokens < memtypes.LineSize {
+	if q.Len() == 0 {
 		return
 	}
 	// The scheduler inspects a bounded window of the queue head (a real

@@ -4,12 +4,13 @@ import "testing"
 
 // TestStepAllocCeiling pins the steady-state allocation cost of GPU.Step.
 // Once the request pools and ring buffers have reached their high-water
-// marks, a warmed step allocates nothing on the memory-access path: MSHR
-// entries are map values, the cold-miss set grows only on a new 64 KB page,
-// and waiter lists are recycled from filled lines. What remains is rare
-// growth (a new seen-set page, a map rehash), well under one allocation
-// per hundred steps. A regression that allocates per miss or per request
-// lands far above the ceiling.
+// marks, a warmed step allocates nothing on the memory-access path: the
+// MSHR files are fixed tables built with the caches, the cold-miss set
+// grows only on a new 64 KB page, and each MSHR slot's waiter list keeps
+// its backing array from fill to fill. What remains is rare growth (a new
+// seen-set page, a waiter list longer than its slot has held), well under
+// one allocation per hundred steps. A regression that allocates per miss
+// or per request lands far above the ceiling.
 func TestStepAllocCeiling(t *testing.T) {
 	g, err := New(testConfig(), tinyKernel(400, 48), Baseline{})
 	if err != nil {

@@ -37,10 +37,12 @@ type GPU struct {
 	toL2   *icnt.Link
 	fromL2 *icnt.Link
 
-	l2        *cache.Cache
-	l2Queue   ring.Buffer[*memtypes.Request]
-	l2Waiters map[memtypes.LineAddr][]*memtypes.Request
-	l2Spare   spareLists[*memtypes.Request]
+	l2      *cache.Cache
+	l2Queue ring.Buffer[*memtypes.Request]
+	// l2Waiters[s] holds, in arrival order, the requests merged into the
+	// fill in L2 MSHR slot s; dramComplete answers them behind the fill's
+	// own request and empties the list before the slot can be reused.
+	l2Waiters [][]*memtypes.Request
 	l2Service int64
 	l2Ports   int
 
@@ -108,13 +110,14 @@ func New(cfg config.Config, k *workload.Kernel, pol Policy) (*GPU, error) {
 		// other seeds produce independent trace instances.
 		k = k.WithSeed(cfg.Seed)
 	}
+	const l2MSHRs = 256
 	g := &GPU{
 		cfg:       cfg,
 		kernel:    k,
 		policy:    pol,
-		l2:        cache.New(cfg.GPU.L2Bytes, cfg.GPU.L2Ways, 256, true),
+		l2:        cache.New(cfg.GPU.L2Bytes, cfg.GPU.L2Ways, l2MSHRs, true),
 		l2Ports:   l2PortsFor(cfg.GPU.NumSMs),
-		l2Waiters: make(map[memtypes.LineAddr][]*memtypes.Request),
+		l2Waiters: make([][]*memtypes.Request, l2MSHRs),
 		dram:      dram.New(&cfg.GPU),
 	}
 	// Split the minimum L2 round trip across request path, service, and
@@ -262,8 +265,8 @@ func (g *GPU) Step() {
 	g.dispatch(cyc)
 
 	// Every SM ticks, then runs its policy's OnCycle. An idle SM's tick is
-	// one compare against its wake bound and one idle count per scheduler,
-	// plus one stall count while its LSU is parked (DESIGN.md §10).
+	// one compare against its wake bound per scheduler, plus one stall
+	// count while its LSU is parked (DESIGN.md §10).
 	g.stage("sm", cyc)
 	for _, sm := range g.sms {
 		sm.tick(cyc, g.lsuPark)
@@ -352,7 +355,7 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 		g.sms[req.SM].pool.Put(req)
 		return true
 	case memtypes.Load:
-		res, ev, evicted := g.l2.Load(req.Line, 0, true)
+		res, ev, evicted, slot := g.l2.Load(req.Line, 0, true)
 		if evicted && ev.Dirty {
 			g.dram.EnqueueWriteback(ev.Line)
 		}
@@ -360,7 +363,7 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 		case cache.Hit:
 			g.fromL2.Send(req, cyc+g.l2Service)
 		case cache.HitPending:
-			g.l2Waiters[req.Line] = append(g.l2Spare.list(g.l2Waiters, req.Line), req)
+			g.l2Waiters[slot] = append(g.l2Waiters[slot], req)
 		case cache.Miss, cache.MissNoAlloc:
 			g.dram.Enqueue(req)
 		case cache.Stall:
@@ -377,14 +380,15 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 func (g *GPU) dramComplete(req *memtypes.Request, cyc int64) {
 	switch req.Kind {
 	case memtypes.Load:
-		g.l2.Fill(req.Line)
+		_, slot, ok := g.l2.Fill(req.Line)
 		g.fromL2.Send(req, cyc)
-		ws := g.l2Waiters[req.Line]
-		for _, waiter := range ws {
-			g.fromL2.Send(waiter, cyc)
+		if ok {
+			ws := g.l2Waiters[slot]
+			for _, waiter := range ws {
+				g.fromL2.Send(waiter, cyc)
+			}
+			g.l2Waiters[slot] = ws[:0]
 		}
-		delete(g.l2Waiters, req.Line)
-		g.l2Spare.put(ws)
 	case memtypes.RegBackup, memtypes.RegRestore:
 		g.fromL2.Send(req, cyc)
 	}

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/linebacker-sim/linebacker/internal/memtypes"
-	"github.com/linebacker-sim/linebacker/internal/stats"
 )
 
 // This file exposes read-only views of the engine's in-flight state for the
@@ -26,11 +27,11 @@ func (g *GPU) ForEachInflight(fn func(*memtypes.Request)) {
 	for i := 0; i < g.l2Queue.Len(); i++ {
 		fn(g.l2Queue.At(i))
 	}
-	// Sorted keys: the visit order of merged waiters must not depend on
-	// map order — fn may fold the requests into anything, including
-	// order-sensitive aggregates.
-	for _, line := range stats.SortedKeys(g.l2Waiters) {
-		for _, req := range g.l2Waiters[line] {
+	// Merged waiters in L2 MSHR slot order, which is deterministic: fn
+	// may fold the requests into anything, including order-sensitive
+	// aggregates.
+	for _, ws := range g.l2Waiters {
+		for _, req := range ws {
 			fn(req)
 		}
 	}
@@ -40,7 +41,18 @@ func (g *GPU) ForEachInflight(fn func(*memtypes.Request)) {
 
 // L2WaiterLines returns the number of distinct lines with requests merged
 // into an outstanding L2 fill.
-func (g *GPU) L2WaiterLines() int { return len(g.l2Waiters) }
+func (g *GPU) L2WaiterLines() int { return nonEmpty(g.l2Waiters) }
+
+// nonEmpty counts the non-empty waiter lists of an MSHR file, one per line.
+func nonEmpty[T any](lists [][]T) int {
+	n := 0
+	for _, ws := range lists {
+		if len(ws) > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // PendingLoadOps returns the load line-requests waiting in the SM's LSU
 // queue (issued by a warp, not yet presented to the L1).
@@ -56,7 +68,7 @@ func (sm *SM) PendingLoadOps() int {
 
 // WaiterLines returns the number of distinct lines with warps waiting on an
 // outstanding L1 fill — by construction equal to the L1's live MSHR count.
-func (sm *SM) WaiterLines() int { return len(sm.waiters) }
+func (sm *SM) WaiterLines() int { return nonEmpty(sm.waiters) }
 
 // WaiterEntries returns the total warp↦line wait registrations: one per
 // outstanding line request that has gone below the L1.
@@ -69,10 +81,23 @@ func (sm *SM) WaiterEntries() int {
 }
 
 // ForEachWaitedLine visits every line some warp of this SM waits on, in
-// ascending line order so the visit sequence is deterministic.
+// ascending line order so the visit sequence does not depend on which
+// MSHR slot each line holds. A waited slot's line is the one its L1 MSHR
+// entry names.
 func (sm *SM) ForEachWaitedLine(fn func(line memtypes.LineAddr, waiters int)) {
-	for _, line := range stats.SortedKeys(sm.waiters) {
-		fn(line, len(sm.waiters[line]))
+	type waited struct {
+		line memtypes.LineAddr
+		n    int
+	}
+	var lines []waited
+	for s, ws := range sm.waiters {
+		if len(ws) > 0 {
+			lines = append(lines, waited{sm.l1.MSHR(s).Line, len(ws)})
+		}
+	}
+	slices.SortFunc(lines, func(a, b waited) int { return cmp.Compare(a.line, b.line) })
+	for _, w := range lines {
+		fn(w.line, w.n)
 	}
 }
 
@@ -98,7 +123,7 @@ func (g *GPU) StateDump() string {
 	fmt.Fprintf(&b, "cycle=%d ctas=%d/%d committed=%d\n",
 		g.cycle, g.nextCTA, g.kernel.GridCTAs, g.committed())
 	fmt.Fprintf(&b, "icnt: toL2=%d fromL2=%d | l2: queue=%d waiterLines=%d | dram: queue=%d inflight=%d stalled=%v\n",
-		g.toL2.Pending(), g.fromL2.Pending(), g.l2Queue.Len(), len(g.l2Waiters),
+		g.toL2.Pending(), g.fromL2.Pending(), g.l2Queue.Len(), g.L2WaiterLines(),
 		g.dram.QueueLen(), g.dram.Inflight(), g.dram.Stalled())
 	for _, sm := range g.sms {
 		fmt.Fprintf(&b, "SM%d: retired=%d resident=%d outbox=%d lsu=%d waitLines=%d waitEntries=%d memPending=%d\n",

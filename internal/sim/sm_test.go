@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"github.com/linebacker-sim/linebacker/internal/memtypes"
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
@@ -138,4 +141,79 @@ func TestEveryFieldSkipsIterations(t *testing.T) {
 	if got := r.TotalLoadReqs(); got != want {
 		t.Fatalf("load requests = %d, want %d", got, want)
 	}
+}
+
+// TestResidentCTAsCountsSlots checks ResidentCTAs, which reads the free-slot
+// count that launchCTA and completeCTA keep, against a count of the
+// resident slots after every cycle of a grid that launches CTAs into slots
+// freed by completions until it drains.
+func TestResidentCTAsCountsSlots(t *testing.T) {
+	g, err := New(testConfig(), tinyKernel(20, 64), Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots, launches := 0, int64(0)
+	for _, sm := range g.SMs() {
+		slots += len(sm.ctas)
+	}
+	for !g.done() {
+		if g.Cycle() > 1_000_000 {
+			t.Fatal("grid did not drain")
+		}
+		g.Step()
+		for _, sm := range g.SMs() {
+			n := 0
+			for i := range sm.ctas {
+				if sm.ctas[i].Resident {
+					n++
+				}
+			}
+			if got := sm.ResidentCTAs(); got != n {
+				t.Fatalf("cycle %d SM%d: ResidentCTAs = %d, %d slots resident", g.Cycle(), sm.ID(), got, n)
+			}
+		}
+	}
+	for _, sm := range g.SMs() {
+		launches += sm.Stats.CTALaunches
+	}
+	if launches <= int64(slots) {
+		t.Fatalf("vacuous: %d launches into %d slots reuse no slot", launches, slots)
+	}
+}
+
+// l1WriterScheme's ExtraL1Latency writes the L1 between processOp's set
+// walk and its access, which no policy hook may do.
+type l1WriterScheme struct{}
+
+func (l1WriterScheme) Name() string { return "l1-writer-test" }
+func (l1WriterScheme) Attach(sm *SM) SMPolicy {
+	return &l1WriterPolicy{sm: sm}
+}
+
+type l1WriterPolicy struct {
+	BasePolicy
+	sm *SM
+}
+
+func (p *l1WriterPolicy) ExtraL1Latency(line memtypes.LineAddr, _ int64) int {
+	p.sm.L1().Store(line)
+	return 0
+}
+
+// TestL1WriteBetweenWalkAndAccessPanics: processOp completes a load from
+// the one set walk it took before calling the policy's ExtraL1Latency,
+// ProbeVictim and AllocateL1, which is sound only while none of them
+// writes the L1. A hook that does must stop the run, not let the access
+// complete from a stale walk.
+func TestL1WriteBetweenWalkAndAccessPanics(t *testing.T) {
+	g, err := New(testConfig(), tinyKernel(20, 8), l1WriterScheme{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "stale lookup") {
+			t.Fatalf("run with an L1-writing hook: recovered %v, want a stale-lookup panic", r)
+		}
+	}()
+	g.Run(10_000)
 }
