@@ -259,10 +259,10 @@ func (c *Cache) MSHRFree() bool { return len(c.mshrs.free) > 0 }
 // OutstandingFills returns the number of live MSHR entries.
 func (c *Cache) OutstandingFills() int { return c.mshrs.live() }
 
-// HasOutstanding reports whether the line has an MSHR entry in flight
-// (allocated fill or bypass fetch): an access to it merges rather than
-// needing a new MSHR.
-func (c *Cache) HasOutstanding(l memtypes.LineAddr) bool { return c.mshrs.find(l) >= 0 }
+// MSHRSlot returns the MSHR slot of the line's outstanding fill
+// (allocated fill or bypass fetch), or -1 when it has none. An access to
+// an outstanding line merges rather than needing a new MSHR.
+func (c *Cache) MSHRSlot(l memtypes.LineAddr) int { return c.mshrs.find(l) }
 
 // MSHR returns the entry in MSHR slot s. A free slot still holds the entry
 // of the last fill it tracked.
@@ -371,7 +371,6 @@ func (c *Cache) LoadFrom(lk *Lookup, hpc uint32, allocate bool) (Result, Evictio
 	if lk.slot >= 0 {
 		// Pending line, or the same line already being fetched without an
 		// allocated way (bypass in flight): merge.
-		c.mshrs.slots[lk.slot].Merged++
 		c.Stats.LoadPendingHits++
 		return HitPending, Eviction{}, false, int(lk.slot)
 	}

@@ -47,8 +47,11 @@ func TestLoadMissFillHit(t *testing.T) {
 	mustLoad(t, c, l, Miss)
 	// Before fill, accesses merge.
 	mustLoad(t, c, l, HitPending)
-	if e, _, ok := c.Fill(l); !ok || e.Merged != 1 {
-		t.Fatalf("Fill = %+v, %v, want merged=1", e, ok)
+	if c.Stats.LoadPendingHits != 1 {
+		t.Fatalf("pending hits = %d, want the merge counted once", c.Stats.LoadPendingHits)
+	}
+	if e, _, ok := c.Fill(l); !ok || e.Line != l {
+		t.Fatalf("Fill = %+v, %v, want the entry of line %#x", e, ok, l)
 	}
 	mustLoad(t, c, l, Hit)
 	if c.Stats.LoadHits != 1 || c.Stats.LoadMisses != 1 || c.Stats.LoadPendingHits != 1 {

@@ -12,7 +12,7 @@ import (
 // of the outstanding lines. The model holds each outstanding line's slot:
 // a miss must take a slot no other line holds, a merge must report the
 // line's slot, every Fill must free exactly that slot (or none, for a line
-// with no fill in flight), and after every step HasOutstanding and
+// with no fill in flight), and after every step MSHRSlot and
 // OutstandingFills must answer as the model does and every pending way
 // must belong to an outstanding line.
 func FuzzCacheOperations(f *testing.F) {
@@ -79,8 +79,12 @@ func FuzzCacheOperations(f *testing.F) {
 			}
 			for k := 0; k < lines; k++ {
 				l := memtypes.LineAddr(k * memtypes.LineSize)
-				if _, had := model[l]; c.HasOutstanding(l) != had {
-					t.Fatalf("step %d: HasOutstanding(%#x) = %v, model says %v", i/2, l, !had, had)
+				want, had := model[l]
+				if !had {
+					want = -1
+				}
+				if got := c.MSHRSlot(l); got != want {
+					t.Fatalf("step %d: MSHRSlot(%#x) = %d, model says %d", i/2, l, got, want)
 				}
 			}
 			for _, ln := range c.lines {

@@ -9,8 +9,6 @@ import (
 // MSHREntry tracks one outstanding fill.
 type MSHREntry struct {
 	Line memtypes.LineAddr
-	// Merged counts accesses coalesced into this entry after the first.
-	Merged int
 	// Allocated reports whether a way was reserved for the fill.
 	Allocated bool
 }

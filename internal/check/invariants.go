@@ -92,7 +92,7 @@ func checkMSHR(g *sim.GPU) error {
 		}
 		var err error
 		sm.ForEachWaitedLine(func(line memtypes.LineAddr, _ int) {
-			if err == nil && !sm.L1().HasOutstanding(line) {
+			if err == nil && sm.L1().MSHRSlot(line) < 0 {
 				err = fmt.Errorf("SM%d: waiters on line %#x with no outstanding fill", sm.ID(), uint64(line))
 			}
 		})
@@ -138,7 +138,9 @@ func checkInflight(g *sim.GPU) error {
 
 // checkL2MSHR verifies the L2 leg of request conservation: every L2 MSHR
 // entry corresponds to exactly one distinct load line in the DRAM queues or
-// service stations, and vice versa.
+// service stations, and vice versa. Every request merged into an L2 fill
+// must wait in the list of the live MSHR slot that tracks its line; a list
+// a freed slot kept would hand served requests to the slot's next fill.
 func checkL2MSHR(g *sim.GPU) error {
 	lines := map[memtypes.LineAddr]struct{}{}
 	g.DRAM().ForEach(func(req *memtypes.Request) {
@@ -149,10 +151,19 @@ func checkL2MSHR(g *sim.GPU) error {
 	if fills := g.L2().OutstandingFills(); fills != len(lines) {
 		return fmt.Errorf("%d L2 MSHR entries vs %d distinct load lines in DRAM", fills, len(lines))
 	}
-	if waited := g.L2WaiterLines(); waited > g.L2().OutstandingFills() {
-		return fmt.Errorf("%d L2-waited lines exceed %d outstanding fills", waited, g.L2().OutstandingFills())
-	}
-	return nil
+	var err error
+	g.ForEachL2Waiter(func(slot int, req *memtypes.Request) {
+		if err != nil {
+			return
+		}
+		switch live := g.L2().MSHRSlot(req.Line); {
+		case live < 0:
+			err = fmt.Errorf("L2 MSHR slot %d holds a waiter on line %#x, which has no outstanding fill", slot, uint64(req.Line))
+		case live != slot:
+			err = fmt.Errorf("L2 MSHR slot %d holds a waiter on line %#x, whose fill is in slot %d", slot, uint64(req.Line), live)
+		}
+	})
+	return err
 }
 
 // checkPolicies runs policy self-checks where implemented.

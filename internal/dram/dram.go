@@ -2,7 +2,9 @@
 // banks with open-row timing (RCD/RP/RC/CL/WR in core cycles) under an
 // aggregate bandwidth cap of 352.5 GB/s. Table 1's tRRD and tRAS are not
 // modelled (DESIGN.md §4). Scheduling is FR-FCFS-lite: within a channel,
-// the oldest row-hit request is served before older row-misses.
+// the oldest row-hit request is served before older row-misses. A
+// channel's transaction queue is unbounded and holds reads and writes in
+// one FIFO, with no priority for reads.
 //
 // The model is line-granular (128 B per request) and driven by Tick once per
 // core cycle.
@@ -46,15 +48,88 @@ type pending struct {
 	done int64
 }
 
-// qent is one transaction-queue entry; req is nil for a writeback. The
+// qent is one scheduling-window entry; req is nil for a writeback. The
 // bank/row decomposition of the line address is immutable, so it is
-// computed once at enqueue instead of by every FR-FCFS window scan (the
-// div/mod chain in bankOf was the scheduler's dominant cost under
-// congestion).
+// computed once, when the entry enters the window, instead of by every
+// FR-FCFS window scan (the div/mod chain in bankOf was the scheduler's
+// dominant cost under congestion).
 type qent struct {
 	req  *memtypes.Request
 	bank int // global bank index: ch*perChan + bk
 	row  int64
+}
+
+// bent is one backlog entry: the line and, except for a writeback, its
+// request. 16 bytes, so a store-bound kernel's backlog of hundreds of
+// thousands of writebacks costs what its lines and pointers do.
+type bent struct {
+	req  *memtypes.Request
+	line memtypes.LineAddr
+}
+
+// blockLen is the number of entries in one backlog block: 4080 bytes, so
+// a block and the allocator's 8-byte header for a pointerful object fill
+// one 4 KiB size class (256 entries would take the 4864-byte class).
+const blockLen = 255
+
+// block is a fixed-size run of backlog entries.
+type block [blockLen]bent
+
+// chanQueue is one channel's transaction queue, oldest first: the
+// scheduling window, which holds the oldest min(len, schedWindow) entries
+// by value with their banks and rows decoded, then the backlog. The
+// backlog is non-empty only while the window is full, so the window is
+// always the queue's head.
+type chanQueue struct {
+	win  [schedWindow]qent
+	nwin int
+	back backlog
+}
+
+// backlog is a FIFO of entries in fixed-size blocks. A block goes back
+// to the free list once the head has passed it and is reused before a new
+// one is allocated, so a backlog allocates its peak once and never copies
+// an entry.
+type backlog struct {
+	blocks ring.Buffer[*block] // oldest first
+	head   int                 // index of the oldest entry in blocks.Front()
+	n      int
+	free   []*block
+}
+
+// at returns the i-th entry from the front (0 = front).
+func (b *backlog) at(i int) bent {
+	i += b.head
+	return b.blocks.At(i / blockLen)[i%blockLen]
+}
+
+// push appends e to the back.
+func (b *backlog) push(e bent) {
+	i := b.head + b.n
+	if i == b.blocks.Len()*blockLen {
+		if k := len(b.free) - 1; k >= 0 {
+			b.blocks.Push(b.free[k])
+			b.free = b.free[:k]
+		} else {
+			b.blocks.Push(new(block))
+		}
+	}
+	b.blocks.At(i / blockLen)[i%blockLen] = e
+	b.n++
+}
+
+// pop removes and returns the front entry; the backlog must not be empty.
+func (b *backlog) pop() bent {
+	blk := b.blocks.Front()
+	e := blk[b.head]
+	blk[b.head] = bent{}
+	b.head++
+	b.n--
+	if b.head == blockLen {
+		b.free = append(b.free, b.blocks.Pop())
+		b.head = 0
+	}
+	return e
 }
 
 // less orders completions by done cycle. Deliberately the exact comparator
@@ -116,11 +191,11 @@ type DRAM struct {
 	banks    []bank // channels * banksPerChan
 	perChan  int
 
-	// queues holds one FIFO ring per channel, oldest first. A dequeue from
-	// the FR-FCFS window shifts at most window-1 entries (RemoveAt), and a
-	// ring reallocates only at a new high-water mark, so a store-bound
-	// kernel's growing writeback backlog costs no allocation per entry.
-	queues []ring.Buffer[qent]
+	// queues holds each channel's transaction queue, oldest first. The
+	// FR-FCFS scan reads only the window, a fixed array, and a store-bound
+	// kernel's growing writeback backlog costs 16 bytes per entry and one
+	// allocation per block.
+	queues []chanQueue
 
 	// chWake[ch] is a cycle before which channel ch's window holds no
 	// ready bank: a window scan that finds none (with tokens to spare)
@@ -154,7 +229,7 @@ func New(g *config.GPU) *DRAM {
 		channels:      g.DRAMChannels,
 		perChan:       g.DRAMBanksPerChan,
 		banks:         make([]bank, g.DRAMChannels*g.DRAMBanksPerChan),
-		queues:        make([]ring.Buffer[qent], g.DRAMChannels),
+		queues:        make([]chanQueue, g.DRAMChannels),
 		chWake:        make([]int64, g.DRAMChannels),
 		bytesPerCycle: g.BytesPerCycle(),
 	}
@@ -185,15 +260,24 @@ func (d *DRAM) Enqueue(req *memtypes.Request) { d.enqueue(req.Line, req) }
 func (d *DRAM) EnqueueWriteback(line memtypes.LineAddr) { d.enqueue(line, nil) }
 
 func (d *DRAM) enqueue(line memtypes.LineAddr, req *memtypes.Request) {
-	ch, bk, row := d.bankOf(line)
-	e := qent{req: req, bank: ch*d.perChan + bk, row: row}
+	ch := d.channelOf(line)
 	q := &d.queues[ch]
-	q.Push(e)
 	// An entry past the window cannot change the scan until a dequeue,
 	// which needs a scan first, moves it in.
-	if q.Len() <= schedWindow {
+	if q.nwin < schedWindow {
+		e := d.decode(req, line)
+		q.win[q.nwin] = e
+		q.nwin++
 		d.chWake[ch] = min(d.chWake[ch], d.banks[e.bank].readyAt)
+		return
 	}
+	q.back.push(bent{req: req, line: line})
+}
+
+// decode returns the window entry of line's access.
+func (d *DRAM) decode(req *memtypes.Request, line memtypes.LineAddr) qent {
+	ch, bk, row := d.bankOf(line)
+	return qent{req: req, bank: ch*d.perChan + bk, row: row}
 }
 
 // QueueLen returns the number of waiting (unscheduled) entries,
@@ -201,7 +285,7 @@ func (d *DRAM) enqueue(line memtypes.LineAddr, req *memtypes.Request) {
 func (d *DRAM) QueueLen() int {
 	n := 0
 	for ch := range d.queues {
-		n += d.queues[ch].Len()
+		n += d.queues[ch].nwin + d.queues[ch].back.n
 	}
 	return n
 }
@@ -210,14 +294,20 @@ func (d *DRAM) QueueLen() int {
 // writebacks included.
 func (d *DRAM) Inflight() int { return len(d.inflight) }
 
-// ForEach visits every queued and in-service request in unspecified order;
-// writebacks carry none and are not visited. Used by the invariant
-// checker; fn must not mutate the model.
+// ForEach visits every queued and in-service request: each channel's
+// queue in FIFO order (window, then backlog), then the requests in
+// service. Writebacks carry none and are not visited. Used by the
+// invariant checker; fn must not mutate the model.
 func (d *DRAM) ForEach(fn func(*memtypes.Request)) {
 	for ch := range d.queues {
 		q := &d.queues[ch]
-		for i := 0; i < q.Len(); i++ {
-			if e := q.At(i); e.req != nil {
+		for _, e := range q.win[:q.nwin] {
+			if e.req != nil {
+				fn(e.req)
+			}
+		}
+		for i := range q.back.n {
+			if e := q.back.at(i); e.req != nil {
 				fn(e.req)
 			}
 		}
@@ -287,7 +377,7 @@ func (d *DRAM) schedule(ch int, cycle int64) {
 		return
 	}
 	q := &d.queues[ch]
-	if q.Len() == 0 {
+	if q.nwin == 0 {
 		return
 	}
 	// The scheduler inspects a bounded window of the queue head (a real
@@ -295,10 +385,11 @@ func (d *DRAM) schedule(ch int, cycle int64) {
 	// per-cycle cost under heavy congestion. One pass finds the oldest row
 	// hit on a ready bank, else the oldest entry on a ready bank, else the
 	// earliest cycle one of the window's banks is ready.
+	win := q.win[:q.nwin]
 	hit, ready := -1, -1
-	wake := d.banks[q.At(0).bank].readyAt
-	for i := range min(q.Len(), schedWindow) {
-		e := q.At(i)
+	wake := d.banks[win[0].bank].readyAt
+	for i := range win {
+		e := &win[i]
 		b := &d.banks[e.bank]
 		if b.readyAt > cycle {
 			wake = min(wake, b.readyAt)
@@ -320,7 +411,23 @@ func (d *DRAM) schedule(ch int, cycle int64) {
 		d.chWake[ch] = wake
 		return
 	}
-	e := q.RemoveAt(pick)
+	// Close the gap in FIFO order and move the backlog's oldest entry in.
+	e := win[pick]
+	copy(win[pick:], win[pick+1:])
+	q.nwin--
+	if q.back.n > 0 {
+		b := q.back.pop()
+		win[q.nwin] = d.decode(b.req, b.line)
+		q.nwin++
+	} else {
+		win[q.nwin] = qent{}
+	}
+	d.start(e, cycle)
+}
+
+// start puts the window entry e in service at the cycle: bank timing, the
+// bandwidth cap and the traffic counters.
+func (d *DRAM) start(e qent, cycle int64) {
 	req, row := e.req, e.row
 	b := &d.banks[e.bank]
 

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -188,8 +190,8 @@ func TestChannelWakeMatchesScan(t *testing.T) {
 				continue
 			}
 			q := &d.queues[ch]
-			for i := range min(q.Len(), schedWindow) {
-				if b := q.At(i).bank; d.banks[b].readyAt < d.chWake[ch] {
+			for _, e := range q.win[:q.nwin] {
+				if b := e.bank; d.banks[b].readyAt < d.chWake[ch] {
 					t.Fatalf("cycle %d, after %s: channel %d bound %d skips scans, but bank %d is ready at %d",
 						cyc, after, ch, d.chWake[ch], b, d.banks[b].readyAt)
 				}
@@ -218,7 +220,7 @@ func TestChannelWakeMatchesScan(t *testing.T) {
 			} else {
 				d.Enqueue(&memtypes.Request{Line: line, Kind: memtypes.Load})
 			}
-			if d.queues[d.channelOf(line)].Len() <= schedWindow {
+			if d.queues[d.channelOf(line)].back.n == 0 {
 				inside++
 			} else {
 				past++
@@ -238,4 +240,189 @@ func TestChannelWakeMatchesScan(t *testing.T) {
 	}
 	t.Logf("%d channel scans skipped; %d enqueues inside the window, %d past it; %d reads, %d writes",
 		skipped, inside, past, d.Stats.Reads, d.Stats.Writes)
+}
+
+// refDRAM is the reference the split channel queue is held to: each
+// channel's queue is one slice, oldest first, and a tick scans its first
+// schedWindow entries for the oldest row hit on a ready bank, else the
+// oldest entry on a ready bank, and splices the pick out. It has no
+// chWake bound. Bank timing, tokens and the in-service heap are those of
+// a second DRAM, whose own queues stay empty.
+type refDRAM struct {
+	d      *DRAM
+	queues [][]qent
+}
+
+func (r *refDRAM) enqueue(line memtypes.LineAddr, req *memtypes.Request) {
+	ch := r.d.channelOf(line)
+	r.queues[ch] = append(r.queues[ch], r.d.decode(req, line))
+}
+
+func (r *refDRAM) queueLen() int {
+	n := 0
+	for _, q := range r.queues {
+		n += len(q)
+	}
+	return n
+}
+
+func (r *refDRAM) tick(cycle int64, fn func(*memtypes.Request)) {
+	d := r.d
+	d.tokens = min(d.tokens+d.bytesPerCycle, d.maxTokens)
+	for ch, q := range r.queues {
+		if d.tokens < memtypes.LineSize {
+			break
+		}
+		pick := -1
+		for i, e := range q[:min(len(q), schedWindow)] {
+			b := &d.banks[e.bank]
+			if b.readyAt > cycle {
+				continue
+			}
+			if b.rowValid && b.openRow == e.row {
+				pick = i
+				break
+			}
+			if pick < 0 {
+				pick = i
+			}
+		}
+		if pick >= 0 {
+			e := q[pick]
+			r.queues[ch] = append(q[:pick], q[pick+1:]...)
+			d.start(e, cycle)
+		}
+	}
+	if len(d.inflight) > 0 {
+		d.Stats.BusyCycles++
+	}
+	for len(d.inflight) > 0 && d.inflight[0].done <= cycle {
+		if req := d.inflight.popRoot().req; req != nil {
+			fn(req)
+		}
+	}
+}
+
+// forEach visits the reference's requests in DRAM.ForEach's order: each
+// channel's queue oldest first, then the requests in service.
+func (r *refDRAM) forEach(fn func(*memtypes.Request)) {
+	for _, q := range r.queues {
+		for _, e := range q {
+			if e.req != nil {
+				fn(e.req)
+			}
+		}
+	}
+	r.d.ForEach(fn)
+}
+
+// TestSplitQueueMatchesReference drives one DRAM with seeded bursts of
+// loads, register backups and restores, and writebacks that run every
+// channel's backlog several blocks deep, then lets it drain, twice, and
+// holds it cycle by cycle to a slice-backed reference queue: the requests
+// each cycle completes, in order, Stats, QueueLen and Inflight, and every
+// 16th cycle the order ForEach visits the queued and in-service requests
+// in. It requires every backlog to have gone at least three blocks deep
+// and to have used no more blocks than its peak needs, so the second
+// burst reused the first one's.
+func TestSplitQueueMatchesReference(t *testing.T) {
+	d := newDRAM()
+	ref := refDRAM{d: newDRAM(), queues: make([][]qent, d.channels)}
+	kinds := []memtypes.Kind{memtypes.Load, memtypes.RegBackup, memtypes.RegRestore}
+	rng, stream := uint64(5), uint64(0)
+	deepest := make([]int, d.channels)
+	held := make([]map[*block]bool, d.channels) // every block a backlog held
+	for ch := range held {
+		held[ch] = map[*block]bool{}
+	}
+	var got, want []*memtypes.Request
+	for cyc := int64(0); cyc < 40_000; cyc++ {
+		// Two bursts of 5000 cycles, each followed by a drain.
+		for n := 0; cyc%20_000 < 5000 && n < 4; n++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			// Half the lines follow one sequential stream, which hits
+			// open rows; the rest scatter over 8 MB.
+			lineNo := rng >> 20 % (1 << 16)
+			if rng%2 == 0 {
+				stream++
+				lineNo = stream
+			}
+			line := memtypes.LineAddr(lineNo * memtypes.LineSize)
+			if rng>>8%3 == 0 {
+				d.EnqueueWriteback(line)
+				ref.enqueue(line, nil)
+				continue
+			}
+			req := &memtypes.Request{Line: line, Kind: kinds[rng>>12%3]}
+			d.Enqueue(req)
+			ref.enqueue(line, req)
+		}
+		got, want = got[:0], want[:0]
+		d.TickEach(cyc, func(req *memtypes.Request) { got = append(got, req) })
+		ref.tick(cyc, func(req *memtypes.Request) { want = append(want, req) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("cycle %d: completed %d requests, the reference %d, or in another order", cyc, len(got), len(want))
+		}
+		if d.Stats != ref.d.Stats {
+			t.Fatalf("cycle %d: stats %+v, reference %+v", cyc, d.Stats, ref.d.Stats)
+		}
+		if d.QueueLen() != ref.queueLen() || d.Inflight() != ref.d.Inflight() {
+			t.Fatalf("cycle %d: %d queued and %d in service, reference %d and %d",
+				cyc, d.QueueLen(), d.Inflight(), ref.queueLen(), ref.d.Inflight())
+		}
+		if cyc%16 == 0 {
+			got, want = got[:0], want[:0]
+			d.ForEach(func(req *memtypes.Request) { got = append(got, req) })
+			ref.forEach(func(req *memtypes.Request) { want = append(want, req) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("cycle %d: ForEach visits %d requests, the reference %d, or in another order", cyc, len(got), len(want))
+			}
+		}
+		for ch := range deepest {
+			b := &d.queues[ch].back
+			deepest[ch] = max(deepest[ch], b.n)
+			for i := range b.blocks.Len() {
+				held[ch][b.blocks.At(i)] = true
+			}
+		}
+	}
+	if d.QueueLen()+d.Inflight() != 0 {
+		t.Fatalf("%d entries queued and %d in service after the drain", d.QueueLen(), d.Inflight())
+	}
+	for ch, n := range deepest {
+		if n < 3*blockLen {
+			t.Fatalf("channel %d: backlog peaked at %d entries, want at least 3 blocks of %d", ch, n, blockLen)
+		}
+		if used, peak := len(held[ch]), (n+blockLen-1)/blockLen+1; used > peak {
+			t.Fatalf("channel %d: backlog used %d blocks, but its peak of %d entries needs at most %d", ch, used, n, peak)
+		}
+	}
+	t.Logf("backlog peaks %v entries; %d reads, %d writes, %d row hits", deepest, d.Stats.Reads, d.Stats.Writes, d.Stats.RowHits)
+}
+
+// TestBacklogCostsItsEntries queues 100 000 writebacks on one channel and
+// requires the queue to allocate no more than 16 bytes per entry and one
+// partly filled 4 KiB block, plus per block its 16 bytes of allocator
+// header and padding and at most 32 bytes for the doubling ring of block
+// pointers.
+func TestBacklogCostsItsEntries(t *testing.T) {
+	d := newDRAM()
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range n {
+		d.EnqueueWriteback(memtypes.LineAddr(i * d.channels * memtypes.LineSize))
+	}
+	runtime.ReadMemStats(&after)
+	if q := d.queues[0].nwin + d.queues[0].back.n; q != n {
+		t.Fatalf("channel 0 holds %d entries, want all %d", q, n)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(16*n + 4096 + 48*(n/blockLen+1))
+	if got > limit {
+		t.Fatalf("queueing %d writebacks allocated %d bytes (%.1f per entry), limit %d", n, got, float64(got)/n, limit)
+	}
+	t.Logf("%d writebacks: %d bytes (%.2f per entry)", n, got, float64(got)/n)
 }

@@ -1,6 +1,6 @@
 // Package ring provides a growable FIFO ring buffer for the simulator's
-// hot-path queues (L2 input queue, SM outbox, LSU queue, DRAM channel
-// queues).
+// hot-path queues (L2 input queue, SM outbox, LSU queue, and the block
+// list of each DRAM channel's backlog).
 //
 // The engine's previous queues were plain slices advanced with
 // `q = q[1:]` — every pop leaked the backing array forward, so a queue
@@ -57,20 +57,6 @@ func (b *Buffer[T]) Front() T { return b.buf[b.head] }
 // At returns the i-th element from the front (0 = front) without removing
 // it. Used by inspection walks (invariant checker, state dumps).
 func (b *Buffer[T]) At(i int) T { return b.buf[(b.head+i)&(len(b.buf)-1)] }
-
-// RemoveAt removes and returns the i-th element from the front (0 = front),
-// keeping the others in FIFO order. It shifts the i elements ahead of it
-// one slot back, so it suits picks near the front, such as the DRAM
-// scheduler's FR-FCFS window.
-func (b *Buffer[T]) RemoveAt(i int) T {
-	mask := len(b.buf) - 1
-	v := b.buf[(b.head+i)&mask]
-	for ; i > 0; i-- {
-		b.buf[(b.head+i)&mask] = b.buf[(b.head+i-1)&mask]
-	}
-	b.Pop()
-	return v
-}
 
 // grow doubles the capacity (always a power of two, so indexing masks
 // instead of dividing), linearising the live elements to the front.

@@ -107,50 +107,3 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 		t.Fatalf("steady-state Push/Pop allocates %.1f per round, want 0", allocs)
 	}
 }
-
-// TestRemoveAtMatchesSlice checks RemoveAt against a slice splice on a
-// buffer whose head wraps and grows: the removed element and the order of
-// the rest must match, and a vacated slot must be zeroed.
-func TestRemoveAtMatchesSlice(t *testing.T) {
-	var b Buffer[*int]
-	var model []*int
-	rng := uint64(3)
-	next := 0
-	for step := 0; step < 5000; step++ {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		switch {
-		case rng%3 != 0 || len(model) == 0:
-			v := new(int)
-			*v = next
-			next++
-			b.Push(v)
-			model = append(model, v)
-		case rng%2 == 0:
-			if got := b.Pop(); got != model[0] {
-				t.Fatalf("step %d: Pop = %d, want %d", step, *got, *model[0])
-			}
-			model = model[1:]
-		default:
-			i := int(rng>>8) % min(len(model), 16)
-			if got := b.RemoveAt(i); got != model[i] {
-				t.Fatalf("step %d: RemoveAt(%d) = %d, want %d", step, i, *got, *model[i])
-			}
-			model = append(model[:i:i], model[i+1:]...)
-		}
-		if b.Len() != len(model) {
-			t.Fatalf("step %d: Len = %d, want %d", step, b.Len(), len(model))
-		}
-		for i, want := range model {
-			if got := b.At(i); got != want {
-				t.Fatalf("step %d: At(%d) = %d, want %d", step, i, *got, *want)
-			}
-		}
-	}
-	for i, v := range b.buf {
-		if live := (i - b.head) & (len(b.buf) - 1); live >= b.n && v != nil {
-			t.Fatalf("slot %d outside the live window still holds %d", i, *v)
-		}
-	}
-}

@@ -30,13 +30,20 @@ func (g *GPU) ForEachInflight(fn func(*memtypes.Request)) {
 	// Merged waiters in L2 MSHR slot order, which is deterministic: fn
 	// may fold the requests into anything, including order-sensitive
 	// aggregates.
-	for _, ws := range g.l2Waiters {
-		for _, req := range ws {
-			fn(req)
-		}
-	}
+	g.ForEachL2Waiter(func(_ int, req *memtypes.Request) { fn(req) })
 	g.dram.ForEach(fn)
 	g.fromL2.ForEach(fn)
+}
+
+// ForEachL2Waiter visits every request merged into an outstanding L2 fill
+// with the MSHR slot whose waiter list holds it, in slot order and, within
+// a slot, in arrival order.
+func (g *GPU) ForEachL2Waiter(fn func(slot int, req *memtypes.Request)) {
+	for s, ws := range g.l2Waiters {
+		for _, req := range ws {
+			fn(s, req)
+		}
+	}
 }
 
 // L2WaiterLines returns the number of distinct lines with requests merged

@@ -42,15 +42,14 @@ type CTASlotInfo struct {
 	WarpsLive int
 }
 
-// lsuOp is one line request waiting for the load/store unit. The address
-// context is captured at issue so a draining store cannot be corrupted by
-// the warp slot being recycled.
+// lsuOp is one line request waiting for the load/store unit. execute
+// computes its line at issue, so the LSU never re-derives an address and a
+// draining store cannot be corrupted by the warp slot being recycled.
 type lsuOp struct {
 	warp    *Warp
-	loadIdx int
-	req     int
+	line    memtypes.LineAddr
+	loadIdx int32
 	isStore bool
-	ctx     workload.Ctx
 }
 
 // SMStats counts per-SM pipeline and memory events.
@@ -479,9 +478,7 @@ func (sm *SM) execute(w *Warp, cycle int64) {
 			// again when a request lands.
 			sm.unlistWarp(warpIndex(sm, w))
 		}
-		for r := 0; r < l.Coalesced; r++ {
-			sm.lsu.Push(lsuOp{warp: w, loadIdx: ins.LoadIdx, req: r, ctx: sm.ctx(w)})
-		}
+		sm.pushOps(w, ins.LoadIdx, l.Coalesced, false)
 	case workload.StoreOp:
 		l := &sm.kernel.Loads[ins.LoadIdx]
 		if !l.ActiveAt(w.iter) {
@@ -489,11 +486,18 @@ func (sm *SM) execute(w *Warp, cycle int64) {
 			break
 		}
 		w.readyAt = cycle + storeIssueLatency
-		for r := 0; r < l.Coalesced; r++ {
-			sm.lsu.Push(lsuOp{warp: w, loadIdx: ins.LoadIdx, req: r, isStore: true, ctx: sm.ctx(w)})
-		}
+		sm.pushOps(w, ins.LoadIdx, l.Coalesced, true)
 	}
 	sm.advance(w, cycle)
+}
+
+// pushOps queues the n line requests of the warp's access to load li at
+// its current iteration, each with its line address.
+func (sm *SM) pushOps(w *Warp, li, n int, isStore bool) {
+	c := workload.Ctx{SM: sm.id, CTASeq: w.Seq, Warp: w.Idx, Iter: w.iter}
+	for r := range n {
+		sm.lsu.Push(lsuOp{warp: w, line: sm.kernel.Address(li, c, r), loadIdx: int32(li), isStore: isStore})
+	}
 }
 
 // advance moves the warp past the issued instruction, retiring the warp and
@@ -600,11 +604,11 @@ func (sm *SM) CheckLSUPark() error {
 	if op.isStore {
 		return fmt.Errorf("SM%d: LSU parked on a store", sm.id)
 	}
-	line := sm.kernel.Address(op.loadIdx, op.ctx, op.req)
+	line := op.line
 	switch {
 	case sm.l1.Lookup(line).Resident():
 		return fmt.Errorf("SM%d: LSU parked on line %#x, which is resident", sm.id, uint64(line))
-	case sm.l1.HasOutstanding(line):
+	case sm.l1.MSHRSlot(line) >= 0:
 		return fmt.Errorf("SM%d: LSU parked on line %#x, which is outstanding", sm.id, uint64(line))
 	case sm.l1.MSHRFree():
 		return fmt.Errorf("SM%d: LSU parked on line %#x with an MSHR free", sm.id, uint64(line))
@@ -612,16 +616,10 @@ func (sm *SM) CheckLSUPark() error {
 	return nil
 }
 
-// ctx builds the address-generation context for a warp.
-func (sm *SM) ctx(w *Warp) workload.Ctx {
-	return workload.Ctx{SM: sm.id, CTASeq: w.Seq, Warp: w.Idx, Iter: w.iter}
-}
-
 // processOp services one line request; false means stall (retry).
 func (sm *SM) processOp(op lsuOp, cycle int64) bool {
-	w := op.warp
+	w, line := op.warp, op.line
 	l := &sm.kernel.Loads[op.loadIdx]
-	line := sm.kernel.Address(op.loadIdx, op.ctx, op.req)
 
 	if op.isStore {
 		sm.Stats.StoreReqs++
