@@ -190,6 +190,12 @@ func (s *lineSet) page(tag uint64) *presencePage {
 // Len returns the number of distinct addresses recorded.
 func (s *lineSet) Len() int { return s.n }
 
+// clear empties the set and keeps its page table at its size.
+func (s *lineSet) clear() {
+	clear(s.pages)
+	s.used, s.n = 0, 0
+}
+
 func (s *lineSet) grow() {
 	newLen := 16
 	if len(s.pages) > 0 {
@@ -213,26 +219,41 @@ func (s *lineSet) grow() {
 
 // New builds a cache of the given geometry. ways must divide sizeBytes/128.
 func New(sizeBytes, ways, mshrs int, writeAllocate bool) *Cache {
-	if sizeBytes%(memtypes.LineSize*ways) != 0 {
-		panic(fmt.Sprintf("cache: %d B not divisible into %d-way sets", sizeBytes, ways))
-	}
-	sets := sizeBytes / (memtypes.LineSize * ways)
-	c := &Cache{
-		sets:          sets,
-		ways:          ways,
-		lines:         make([]line, sets*ways),
-		mshrs:         newMSHRFile(mshrs),
-		writeAllocate: writeAllocate,
-	}
-	c.initGeometry()
+	c := &Cache{}
+	c.Reset(sizeBytes, ways, mshrs, writeAllocate)
 	return c
 }
 
-// initGeometry precomputes the set-index mask for power-of-two set counts.
-func (c *Cache) initGeometry() {
-	c.setPow2 = c.sets&(c.sets-1) == 0
+// Reset makes c the cache New builds for the geometry: no valid line, no
+// fill in flight, no line ever seen, zero counters. It keeps c's line
+// array, MSHR file and cold-miss page table wherever they are large
+// enough, so re-arming a cache allocates only for a larger geometry than
+// it has held. ways must divide sizeBytes/128.
+func (c *Cache) Reset(sizeBytes, ways, mshrs int, writeAllocate bool) {
+	if sizeBytes%(memtypes.LineSize*ways) != 0 {
+		panic(fmt.Sprintf("cache: %d B not divisible into %d-way sets", sizeBytes, ways))
+	}
+	c.seen.clear()
+	*c = Cache{
+		ways:          ways,
+		lines:         c.lines,
+		mshrs:         c.mshrs,
+		writeAllocate: writeAllocate,
+		seen:          c.seen,
+	}
+	c.setGeometry(sizeBytes/(memtypes.LineSize*ways), mshrs)
+}
+
+// setGeometry gives c sets sets of empty ways and an empty file of mshrs
+// MSHRs, reusing the arrays it has, and precomputes the set-index mask
+// for power-of-two set counts.
+func (c *Cache) setGeometry(sets, mshrs int) {
+	c.sets = sets
+	c.lines = memtypes.Reslice(c.lines, sets*c.ways)
+	c.mshrs.reset(mshrs)
+	c.setPow2 = sets&(sets-1) == 0
 	if c.setPow2 {
-		c.setMask = uint64(c.sets - 1)
+		c.setMask = uint64(sets - 1)
 	} else {
 		c.setMask = 0
 	}
@@ -404,20 +425,20 @@ func (c *Cache) LoadFrom(lk *Lookup, hpc uint32, allocate bool) (Result, Evictio
 	return Miss, ev, evicted, slot
 }
 
-// Fill completes the outstanding fetch of a line. It returns the MSHR entry
-// and the slot it frees, or false if none was outstanding (e.g. a store
-// fill in a write-allocate cache that was silently dropped).
-func (c *Cache) Fill(l memtypes.LineAddr) (MSHREntry, int, bool) {
-	slot := c.mshrs.remove(l)
+// Fill completes the outstanding fetch of a line. It returns the MSHR slot
+// it frees, or false if none was outstanding (e.g. a store fill in a
+// write-allocate cache that was silently dropped). The freed slot's entry
+// stays readable through MSHR until a later miss reuses the slot.
+func (c *Cache) Fill(l memtypes.LineAddr) (slot int, ok bool) {
+	slot = c.mshrs.remove(l)
 	if slot < 0 {
-		return MSHREntry{}, -1, false
+		return -1, false
 	}
 	c.gen++
-	s := &c.mshrs.slots[slot]
-	if s.Allocated {
+	if s := &c.mshrs.slots[slot]; s.Allocated {
 		c.lines[s.way].pending = false
 	}
-	return s.MSHREntry, slot, true
+	return slot, true
 }
 
 // Store performs a store access. In a write-evict cache (writeAllocate ==
@@ -498,8 +519,10 @@ func (c *Cache) Utilization() float64 {
 }
 
 // Resize rebuilds the cache with a new byte size, dropping all contents and
-// outstanding fills. Used by the CacheExt idealisation, which grows the L1
-// by the unused-register byte count at kernel launch.
+// outstanding fills; counters and the cold-miss set stay. Used by the
+// CacheExt and CERF schemes, which grow the L1 by the unused-register byte
+// count at kernel launch. It shares Reset's geometry code, so it reuses
+// the line array when that is large enough.
 func (c *Cache) Resize(sizeBytes int) {
 	if sizeBytes%(memtypes.LineSize*c.ways) != 0 {
 		// Round down to a whole number of sets.
@@ -509,8 +532,5 @@ func (c *Cache) Resize(sizeBytes int) {
 		sizeBytes = memtypes.LineSize * c.ways
 	}
 	c.gen++
-	c.sets = sizeBytes / (memtypes.LineSize * c.ways)
-	c.lines = make([]line, c.sets*c.ways)
-	c.mshrs = newMSHRFile(len(c.mshrs.slots))
-	c.initGeometry()
+	c.setGeometry(sizeBytes/(memtypes.LineSize*c.ways), len(c.mshrs.slots))
 }

@@ -50,8 +50,8 @@ func TestLoadMissFillHit(t *testing.T) {
 	if c.Stats.LoadPendingHits != 1 {
 		t.Fatalf("pending hits = %d, want the merge counted once", c.Stats.LoadPendingHits)
 	}
-	if e, _, ok := c.Fill(l); !ok || e.Line != l {
-		t.Fatalf("Fill = %+v, %v, want the entry of line %#x", e, ok, l)
+	if slot, ok := c.Fill(l); !ok || c.MSHR(slot).Line != l {
+		t.Fatalf("Fill = slot %d, %v, want the slot of line %#x", slot, ok, l)
 	}
 	mustLoad(t, c, l, Hit)
 	if c.Stats.LoadHits != 1 || c.Stats.LoadMisses != 1 || c.Stats.LoadPendingHits != 1 {
@@ -149,8 +149,8 @@ func TestWriteEvictStoreOnPendingLine(t *testing.T) {
 	if c.OutstandingFills() != 1 {
 		t.Fatalf("outstanding fills = %d, want 1", c.OutstandingFills())
 	}
-	if e, _, ok := c.Fill(a); !ok || !e.Allocated {
-		t.Fatalf("Fill = %+v, %v, want allocated entry", e, ok)
+	if slot, ok := c.Fill(a); !ok || !c.MSHR(slot).Allocated {
+		t.Fatalf("Fill = slot %d, %v, want the slot of an allocated entry", slot, ok)
 	}
 	if !c.Lookup(a).Resident() {
 		t.Fatal("line reserved by the in-flight fill was lost: store on a pending line must not invalidate it")

@@ -59,7 +59,7 @@ func FuzzCacheOperations(f *testing.F) {
 				if op&4 != 0 && len(order) > 0 {
 					l = order[0]
 				}
-				_, slot, ok := c.Fill(l)
+				slot, ok := c.Fill(l)
 				want, had := model[l]
 				if ok != had || (had && slot != want) || (!had && slot != -1) {
 					t.Fatalf("step %d: Fill(%#x) = slot %d, %v; model has slot %d, %v", i/2, l, slot, ok, want, had)

@@ -49,20 +49,27 @@ type mshrKey struct {
 
 // newMSHRFile returns an empty file of n slots.
 func newMSHRFile(n int) mshrFile {
+	var f mshrFile
+	f.reset(n)
+	return f
+}
+
+// reset empties the file and gives it n slots, reusing its arrays when
+// they are large enough. Every slot's entry is zero, as in a new file.
+func (f *mshrFile) reset(n int) {
 	size := 2
 	for size < 2*n {
 		size *= 2
 	}
-	f := mshrFile{
-		slots: make([]mshrSlot, n),
-		free:  make([]int32, n),
-		index: make([]mshrKey, size),
+	*f = mshrFile{
+		slots: memtypes.Reslice(f.slots, n),
+		free:  memtypes.Reslice(f.free, n),
+		index: memtypes.Reslice(f.index, size),
 		shift: uint(64 - bits.TrailingZeros(uint(size))),
 	}
 	for i := range f.free {
 		f.free[i] = int32(n - 1 - i)
 	}
-	return f
 }
 
 // live returns the number of slots in use.

@@ -118,6 +118,17 @@ func (b *backlog) push(e bent) {
 	b.n++
 }
 
+// reset empties the backlog and moves every block to the free list,
+// zeroing the entries it drops (passed entries are already zero).
+func (b *backlog) reset() {
+	for b.blocks.Len() > 0 {
+		blk := b.blocks.Pop()
+		clear(blk[:])
+		b.free = append(b.free, blk)
+	}
+	b.head, b.n = 0, 0
+}
+
 // pop removes and returns the front entry; the backlog must not be empty.
 func (b *backlog) pop() bent {
 	blk := b.blocks.Front()
@@ -224,17 +235,39 @@ type DRAM struct {
 
 // New builds the DRAM model from the GPU configuration.
 func New(g *config.GPU) *DRAM {
-	d := &DRAM{
+	d := &DRAM{}
+	d.Reset(g)
+	return d
+}
+
+// Reset makes d the model New builds for g: idle banks, empty queues,
+// nothing in service, zero counters, not stalled. It keeps its arrays
+// where they are large enough, and every channel keeps its backlog's
+// blocks on its free list, so a re-armed DRAM allocates only past the
+// largest backlog a channel has held.
+func (d *DRAM) Reset(g *config.GPU) {
+	queues := d.queues[:cap(d.queues)]
+	for ch := range queues {
+		q := &queues[ch]
+		clear(q.win[:q.nwin])
+		q.nwin = 0
+		q.back.reset()
+	}
+	if n := g.DRAMChannels - len(queues); n > 0 {
+		queues = append(queues, make([]chanQueue, n)...)
+	}
+	clear(d.inflight)
+	*d = DRAM{
 		timing:        g.DRAM,
 		channels:      g.DRAMChannels,
 		perChan:       g.DRAMBanksPerChan,
-		banks:         make([]bank, g.DRAMChannels*g.DRAMBanksPerChan),
-		queues:        make([]chanQueue, g.DRAMChannels),
-		chWake:        make([]int64, g.DRAMChannels),
+		banks:         memtypes.Reslice(d.banks, g.DRAMChannels*g.DRAMBanksPerChan),
+		queues:        queues[:g.DRAMChannels],
+		chWake:        memtypes.Reslice(d.chWake, g.DRAMChannels),
 		bytesPerCycle: g.BytesPerCycle(),
+		inflight:      d.inflight[:0],
 	}
 	d.maxTokens = d.bytesPerCycle * 4 // small burst window
-	return d
 }
 
 // channelOf maps a line to a channel by low-order line bits (interleaved).

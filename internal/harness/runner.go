@@ -68,6 +68,9 @@ type Runner struct {
 	sem        chan struct{}
 	store      *store.Store
 	execs      atomic.Int64
+	// idle holds machines whose runs succeeded, at most
+	// max(1, SweepWorkers), for Simulate to re-arm (sim.GPU.Reuse).
+	idle []*sim.GPU
 }
 
 // flight is one in-progress execution of a memo key. Concurrent same-key
@@ -334,10 +337,11 @@ func (r *Runner) execute(ctx context.Context, cfg config.Config, cfgKey, bench s
 }
 
 // Simulate is the run engine's fault barrier, the one place a simulation
-// runs. It builds the machine for kernel k under pol (sim.New, the
-// invariant checker when cfg.Check is set, the chaos injector when
-// cfg.Chaos arms a fault), hands it to instrument when that is non-nil,
-// and drives it under the runner's deadline and watchdog: by default with
+// runs. It arms a machine for kernel k under pol with sim.GPU.Reuse — an
+// idle machine of the runner, or an empty one when none is idle — then
+// the invariant checker when cfg.Check is set and the chaos injector when
+// cfg.Chaos arms a fault, hands it to instrument when that is non-nil, and
+// drives it under the runner's deadline and watchdog: by default with
 // RunCtx to the runner's run length, or with drive when that is non-nil.
 // A panic, cancellation or drive error comes back as a *RunError labelled
 // (k.Name, pol, cfgKey) with the cycle, a machine-state snapshot and, for
@@ -345,6 +349,14 @@ func (r *Runner) execute(ctx context.Context, cfg config.Config, cfgKey, bench s
 // this goroutine after the run has stopped, so no diagnostic races the
 // engine. Simulate neither memoises nor takes a sweep slot; RunCfg and
 // RunProbe do both around it.
+//
+// A machine returns to the idle list only after its run succeeded, its
+// watchdog goroutine has exited and Collect has read it, and only while
+// fewer than max(1, SweepWorkers) machines are idle. A point that
+// panicked, was cancelled, timed out, tripped the watchdog or returned a
+// drive error drops its machine, whose state is suspect (DESIGN.md §8).
+// instrument and drive must not keep the machine past their return: the
+// runner re-arms it for a later point.
 func (r *Runner) Simulate(ctx context.Context, cfg config.Config, cfgKey string, k *workload.Kernel, pol sim.Policy,
 	instrument func(*sim.GPU), drive func(context.Context, *sim.GPU) error) (res *sim.Result, err error) {
 	rerr := &RunError{Bench: k.Name, Policy: pol.Name(), CfgKey: cfgKey, Phase: PhaseSetup}
@@ -361,7 +373,7 @@ func (r *Runner) Simulate(ctx context.Context, cfg config.Config, cfgKey string,
 		}
 	}()
 
-	machine, serr := sim.New(cfg, k, pol)
+	machine, serr := r.machine(cfg, k, pol)
 	if serr != nil {
 		rerr.Err = fmt.Errorf("%w: %w", ErrBadConfig, serr)
 		return nil, rerr
@@ -382,13 +394,15 @@ func (r *Runner) Simulate(ctx context.Context, cfg config.Config, cfgKey string,
 		runCtx, cancel = context.WithTimeoutCause(runCtx, r.Timeout, ErrTimeout)
 		defer cancel()
 	}
+	stopWatchdog := func() {}
 	if r.WatchdogTick > 0 {
 		wdCtx, cancelCause := context.WithCancelCause(runCtx)
 		stop := startWatchdog(cancelCause, g, r.WatchdogTick)
-		defer func() {
+		stopWatchdog = sync.OnceFunc(func() {
 			stop()
 			cancelCause(nil)
-		}()
+		})
+		defer stopWatchdog()
 		runCtx = wdCtx
 	}
 
@@ -399,14 +413,49 @@ func (r *Runner) Simulate(ctx context.Context, cfg config.Config, cfgKey string,
 			return err
 		}
 	}
-	if runErr := drive(runCtx, g); runErr != nil {
+	runErr := drive(runCtx, g)
+	stopWatchdog()
+	if runErr != nil {
 		rerr.Cycle = g.Cycle()
 		rerr.Snapshot = safeDump(g)
 		rerr.Err = runErr
 		return nil, rerr
 	}
 	rerr.Phase = PhaseCollect
-	return g.Collect(), nil
+	res = g.Collect()
+	r.release(g)
+	return res, nil
+}
+
+// machine arms a machine for the point: the most recently idled one, or
+// an empty one when none is idle, which is what sim.New arms. A machine
+// Reuse rejects the configuration for is dropped.
+func (r *Runner) machine(cfg config.Config, k *workload.Kernel, pol sim.Policy) (*sim.GPU, error) {
+	var g *sim.GPU
+	r.mu.Lock()
+	if n := len(r.idle); n > 0 {
+		g = r.idle[n-1]
+		r.idle[n-1] = nil
+		r.idle = r.idle[:n-1]
+	}
+	r.mu.Unlock()
+	if g == nil {
+		g = new(sim.GPU)
+	}
+	if err := g.Reuse(cfg, k, pol); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// release puts the machine of a successful run on the idle list, unless
+// max(1, SweepWorkers) machines are idle already.
+func (r *Runner) release(g *sim.GPU) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.idle) < max(1, r.SweepWorkers) {
+		r.idle = append(r.idle, g)
+	}
 }
 
 // safeDump renders the diagnostic snapshot, never letting a dump of an

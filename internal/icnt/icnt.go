@@ -36,7 +36,8 @@ func (e entry) less(o entry) bool {
 // interleaves: one for a link every send of which is cycle+latency, two
 // when a second stream is sent ahead of the first (L2 hits and DRAM
 // completions on the response link). The lanes are ring buffers that keep
-// their backing arrays, so steady-state Send/Deliver is allocation-free.
+// their backing arrays, so steady-state Send/Deliver is allocation-free,
+// and Reset keeps the lanes a link has opened for its next run.
 type Link struct {
 	latency  int64
 	perCycle int
@@ -51,10 +52,24 @@ type Link struct {
 // New builds a link with the given traversal latency (cycles) and maximum
 // deliveries per cycle.
 func New(latency int64, perCycle int) *Link {
+	l := &Link{}
+	l.Reset(latency, perCycle)
+	return l
+}
+
+// Reset makes l the empty link New builds for the parameters: nothing in
+// flight, no lane open, zero counters and sequence. The lanes it had
+// opened stay behind the slice's length with their backing arrays, and
+// Send reopens them before it appends a new one.
+func (l *Link) Reset(latency int64, perCycle int) {
 	if latency < 0 || perCycle <= 0 {
 		panic("icnt: invalid link parameters")
 	}
-	return &Link{latency: latency, perCycle: perCycle}
+	lanes := l.lanes[:cap(l.lanes)]
+	for i := range lanes {
+		lanes[i].Reset()
+	}
+	*l = Link{latency: latency, perCycle: perCycle, lanes: lanes[:0]}
 }
 
 // Send injects a request at the given cycle.
@@ -75,8 +90,12 @@ func (l *Link) Send(req *memtypes.Request, cycle int64) {
 		}
 	}
 	if fit < 0 {
-		l.lanes = append(l.lanes, ring.Buffer[entry]{})
-		fit = len(l.lanes) - 1
+		fit = len(l.lanes)
+		if fit < cap(l.lanes) {
+			l.lanes = l.lanes[:fit+1] // an empty lane a Reset kept
+		} else {
+			l.lanes = append(l.lanes, ring.Buffer[entry]{})
+		}
 	}
 	l.lanes[fit].Push(e)
 	l.Sent++

@@ -117,6 +117,19 @@ func (p *RequestPool) Put(r *Request) {
 // Free returns the number of pooled (idle) requests.
 func (p *RequestPool) Free() int { return len(p.free) }
 
+// Reslice returns s holding n zero values. It reuses s's backing array
+// when that holds n and allocates exactly n otherwise, so a re-armed
+// machine's fixed tables (cache ways, MSHR files, banks, warp contexts)
+// allocate only for a shape larger than any the machine has run.
+func Reslice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // HashPC folds a 32-bit PC into bits bits by XOR, as the paper's hashed-PC
 // (HPC) function does. bits must be in [1,16].
 func HashPC(pc uint32, bits int) uint32 {

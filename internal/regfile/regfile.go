@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"github.com/linebacker-sim/linebacker/internal/config"
+	"github.com/linebacker-sim/linebacker/internal/memtypes"
 )
 
 // Stats aggregates register file events.
@@ -26,6 +27,8 @@ func (s *Stats) TotalAccesses() int64 {
 	return s.OperandAccesses + s.VictimReads + s.VictimWrites + s.BackupReads + s.RestoreWrites
 }
 
+// allocation is one CTA slot's register range [first, first+count). A
+// free slot's is zero: the empty range [0, 0), which overlaps nothing.
 type allocation struct {
 	first int // first warp-register number
 	count int
@@ -36,8 +39,8 @@ type RegFile struct {
 	totalRegs int
 	banks     int
 
-	allocs map[int]allocation // CTA slot -> range
-	used   int                // warp-registers allocated
+	allocs []allocation // indexed by CTA slot
+	used   int          // warp-registers allocated
 
 	// bankUsed is the cycle of each bank's last access (-1 before the
 	// first). Every caller passes the current cycle, which never decreases
@@ -50,16 +53,23 @@ type RegFile struct {
 
 // New builds the register file for the given GPU configuration.
 func New(g *config.GPU) *RegFile {
-	rf := &RegFile{
+	rf := &RegFile{}
+	rf.Reset(g)
+	return rf
+}
+
+// Reset makes rf the empty register file New builds for g, reusing its
+// arrays when they are large enough.
+func (rf *RegFile) Reset(g *config.GPU) {
+	*rf = RegFile{
 		totalRegs: g.WarpRegisters(),
 		banks:     g.RegFileBanks,
-		allocs:    make(map[int]allocation),
-		bankUsed:  make([]int64, g.RegFileBanks),
+		allocs:    memtypes.Reslice(rf.allocs, g.MaxCTAsPerSM),
+		bankUsed:  memtypes.Reslice(rf.bankUsed, g.RegFileBanks),
 	}
 	for b := range rf.bankUsed {
 		rf.bankUsed[b] = -1
 	}
-	return rf
 }
 
 // TotalRegs returns the number of warp-registers.
@@ -81,16 +91,20 @@ func (rf *RegFile) Alloc(ctaSlot, count int) (first int, ok bool) {
 	if count <= 0 {
 		return 0, false
 	}
-	if _, dup := rf.allocs[ctaSlot]; dup {
+	if n := ctaSlot + 1 - len(rf.allocs); n > 0 {
+		rf.allocs = append(rf.allocs, make([]allocation, n)...)
+	}
+	if rf.allocs[ctaSlot].count > 0 {
 		panic(fmt.Sprintf("regfile: CTA slot %d already allocated", ctaSlot))
 	}
-	// First-fit scan over gaps between sorted allocations.
+	// First fit: each pass moves next past every allocation it overlaps,
+	// until a pass finds none. next never passes the lowest feasible
+	// offset (an overlapped allocation rules out every offset below its
+	// end), so the placement is that offset whatever order the slots are
+	// visited in.
 	next := 0
 	for {
 		conflict := false
-		//lbvet:ordered fixpoint: the pass repeats until conflict-free and
-		// `next` only grows, so the final placement is the lowest feasible
-		// offset regardless of visit order.
 		for _, a := range rf.allocs {
 			if next < a.first+a.count && a.first < next+count {
 				conflict = true
@@ -116,22 +130,20 @@ func (rf *RegFile) Alloc(ctaSlot, count int) (first int, ok bool) {
 
 // Free releases the CTA slot's registers.
 func (rf *RegFile) Free(ctaSlot int) {
-	a, ok := rf.allocs[ctaSlot]
-	if !ok {
+	if ctaSlot >= len(rf.allocs) {
 		return
 	}
-	delete(rf.allocs, ctaSlot)
-	rf.used -= a.count
+	rf.used -= rf.allocs[ctaSlot].count
+	rf.allocs[ctaSlot] = allocation{}
 }
 
 // LargestLiveRN returns the highest register number of any allocation, or
 // -1 when empty — the paper's LRN used to gate VTT partition activation.
 func (rf *RegFile) LargestLiveRN() int {
 	lrn := -1
-	//lbvet:ordered max over the allocation set is commutative.
 	for _, a := range rf.allocs {
-		if last := a.first + a.count - 1; last > lrn {
-			lrn = last
+		if a.count > 0 && a.first+a.count-1 > lrn {
+			lrn = a.first + a.count - 1
 		}
 	}
 	return lrn

@@ -56,6 +56,37 @@ func TestFreeReuse(t *testing.T) {
 	}
 }
 
+// TestFirstFitIntoInteriorGap pins first fit into a freed gap between two
+// live allocations: a request that fits the gap lands at its start, even
+// when live allocations in lower-numbered slots sit above it, and one
+// that does not fit goes above the highest allocation.
+func TestFirstFitIntoInteriorGap(t *testing.T) {
+	rf := newRF()
+	// Slots are taken in descending order, so the allocation at the top of
+	// the file belongs to the lowest slot.
+	for i, slot := range []int{5, 3, 1} {
+		if first, ok := rf.Alloc(slot, 100); !ok || first != 100*i {
+			t.Fatalf("Alloc(%d, 100) = %d, %v, want %d, true", slot, first, ok, 100*i)
+		}
+	}
+	rf.Free(3) // frees [100, 200) between [0, 100) and [200, 300)
+	if first, ok := rf.Alloc(0, 150); !ok || first != 300 {
+		t.Fatalf("Alloc(0, 150) = %d, %v, want 300 (the gap holds 100)", first, ok)
+	}
+	if first, ok := rf.Alloc(2, 60); !ok || first != 100 {
+		t.Fatalf("Alloc(2, 60) = %d, %v, want 100, the gap's start", first, ok)
+	}
+	if first, ok := rf.Alloc(4, 40); !ok || first != 160 {
+		t.Fatalf("Alloc(4, 40) = %d, %v, want 160, the rest of the gap", first, ok)
+	}
+	if first, ok := rf.Alloc(6, 1); !ok || first != 450 {
+		t.Fatalf("Alloc(6, 1) = %d, %v, want 450, above the highest allocation", first, ok)
+	}
+	if rf.UsedRegs() != 100+100+150+60+40+1 || rf.LargestLiveRN() != 450 {
+		t.Fatalf("used %d, LRN %d", rf.UsedRegs(), rf.LargestLiveRN())
+	}
+}
+
 func TestAllocExhaustion(t *testing.T) {
 	rf := newRF()
 	if _, ok := rf.Alloc(0, 2048); !ok {

@@ -1,6 +1,8 @@
 // Package ring provides a growable FIFO ring buffer for the simulator's
-// hot-path queues (L2 input queue, SM outbox, LSU queue, and the block
-// list of each DRAM channel's backlog).
+// hot-path queues (L2 input queue, SM outbox, LSU queue, icnt lanes, and
+// the block list of each DRAM channel's backlog). Reset empties a buffer
+// in place, so a re-armed machine's queues start at the capacity its
+// earlier runs reached.
 //
 // The engine's previous queues were plain slices advanced with
 // `q = q[1:]` — every pop leaked the backing array forward, so a queue
@@ -53,6 +55,17 @@ func (b *Buffer[T]) Pop() T {
 
 // Front returns the front element without removing it.
 func (b *Buffer[T]) Front() T { return b.buf[b.head] }
+
+// Reset empties the buffer and keeps its backing array. It zeroes the
+// slots of the elements it drops, as Pop does, so a reset buffer pins
+// nothing.
+func (b *Buffer[T]) Reset() {
+	var zero T
+	for i := 0; i < b.n; i++ {
+		b.buf[(b.head+i)&(len(b.buf)-1)] = zero
+	}
+	b.head, b.n = 0, 0
+}
 
 // At returns the i-th element from the front (0 = front) without removing
 // it. Used by inspection walks (invariant checker, state dumps).

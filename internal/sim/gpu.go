@@ -31,13 +31,15 @@ type GPU struct {
 	kernel *workload.Kernel
 	policy Policy
 
+	// sms holds the NumSMs SMs of the run. SMs a larger earlier run used
+	// wait past its length, in the backing array, for Reuse.
 	sms    []*SM
 	smpols []SMPolicy
 
-	toL2   *icnt.Link
-	fromL2 *icnt.Link
+	toL2   icnt.Link
+	fromL2 icnt.Link
 
-	l2      *cache.Cache
+	l2      cache.Cache
 	l2Queue ring.Buffer[*memtypes.Request]
 	// l2Waiters[s] holds, in arrival order, the requests merged into the
 	// fill in L2 MSHR slot s; dramComplete answers them behind the fill's
@@ -46,7 +48,7 @@ type GPU struct {
 	l2Service int64
 	l2Ports   int
 
-	dram *dram.DRAM
+	dram dram.DRAM
 
 	nextCTA int
 	cycle   int64
@@ -95,14 +97,38 @@ func (g *GPU) stage(name string, cyc int64) {
 	}
 }
 
+// l2MSHRs is the number of L2 MSHRs.
+const l2MSHRs = 256
+
 // New builds a GPU run. The config is copied; policies may adjust per-SM
-// structures in Attach.
+// structures in Attach. It is Reuse on an empty machine, so a new machine
+// and a re-armed one come from the same routine.
 func New(cfg config.Config, k *workload.Kernel, pol Policy) (*GPU, error) {
-	if err := cfg.Validate(); err != nil {
+	g := new(GPU)
+	if err := g.Reuse(cfg, k, pol); err != nil {
 		return nil, err
 	}
+	return g, nil
+}
+
+// Reuse re-arms the machine for a run of kernel k under pol with cfg, and
+// leaves it indistinguishable from the one New(cfg, k, pol) builds
+// (DESIGN.md §8). Every structure is emptied in place: arrays large
+// enough for the new shape are resliced and cleared, and only smaller
+// ones are allocated anew. Every counter, engine cache and hook (SM.Probe,
+// the checker, the fault injector) starts as in a new machine, and
+// requests a cut-off run left in flight go back to their SMs' pools. A
+// re-armed machine holds what its largest run held.
+//
+// The machine's last run must have returned from RunCtx, or never
+// started: a machine whose run panicked may hold a request in two places,
+// and must be dropped. On a validation error the machine is unchanged.
+func (g *GPU) Reuse(cfg config.Config, k *workload.Kernel, pol Policy) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if err := k.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Seed != 1 {
 		// Perturb the synthetic address generators: the default seed (1)
@@ -110,31 +136,61 @@ func New(cfg config.Config, k *workload.Kernel, pol Policy) (*GPU, error) {
 		// other seeds produce independent trace instances.
 		k = k.WithSeed(cfg.Seed)
 	}
-	const l2MSHRs = 256
-	g := &GPU{
+	g.ForEachInflight(func(req *memtypes.Request) { g.sms[req.SM].pool.Put(req) })
+	g.l2Queue.Reset()
+	clear(g.smpols)
+	sms := g.sms[:cap(g.sms)]
+	if n := cfg.GPU.NumSMs - len(sms); n > 0 {
+		sms = append(sms, make([]*SM, n)...)
+	}
+	*g = GPU{
 		cfg:       cfg,
 		kernel:    k,
 		policy:    pol,
-		l2:        cache.New(cfg.GPU.L2Bytes, cfg.GPU.L2Ways, l2MSHRs, true),
+		sms:       sms[:cfg.GPU.NumSMs],
+		smpols:    g.smpols[:0],
+		toL2:      g.toL2,
+		fromL2:    g.fromL2,
+		l2:        g.l2,
+		l2Queue:   g.l2Queue,
+		l2Waiters: emptyLists(g.l2Waiters, l2MSHRs),
 		l2Ports:   l2PortsFor(cfg.GPU.NumSMs),
-		l2Waiters: make([][]*memtypes.Request, l2MSHRs),
-		dram:      dram.New(&cfg.GPU),
+		dram:      g.dram,
 	}
+	g.l2.Reset(cfg.GPU.L2Bytes, cfg.GPU.L2Ways, l2MSHRs, true)
+	g.dram.Reset(&cfg.GPU)
 	// Split the minimum L2 round trip across request path, service, and
 	// response path.
 	lat := int64(cfg.GPU.L2Latency)
-	g.toL2 = icnt.New(lat*3/10, cfg.GPU.NumSMs*2)
+	g.toL2.Reset(lat*3/10, cfg.GPU.NumSMs*2)
 	g.l2Service = lat * 4 / 10
-	g.fromL2 = icnt.New(lat*3/10, cfg.GPU.NumSMs*2)
+	g.fromL2.Reset(lat*3/10, cfg.GPU.NumSMs*2)
 
-	for i := 0; i < cfg.GPU.NumSMs; i++ {
-		sm := newSM(i, &g.cfg, k)
+	for i, sm := range g.sms {
+		if sm == nil {
+			sm = new(SM)
+			g.sms[i] = sm
+		}
+		sm.reset(i, &g.cfg, k)
 		smp := pol.Attach(sm)
 		sm.pol = smp
-		g.sms = append(g.sms, sm)
 		g.smpols = append(g.smpols, smp)
 	}
-	return g, nil
+	return nil
+}
+
+// emptyLists returns lists resliced to n empty lists. Every list keeps its
+// backing array, the ones past n too, and drops what it held.
+func emptyLists[T any](lists [][]T, n int) [][]T {
+	all := lists[:cap(lists)]
+	for i := range all {
+		clear(all[i][:cap(all[i])])
+		all[i] = all[i][:0]
+	}
+	if len(all) < n {
+		all = append(all, make([][]T, n-len(all))...)
+	}
+	return all[:n]
 }
 
 // SMs exposes the SMs (for probes and tests).
@@ -144,13 +200,13 @@ func (g *GPU) SMs() []*SM { return g.sms }
 func (g *GPU) SMPolicies() []SMPolicy { return g.smpols }
 
 // DRAM exposes the DRAM model (for traffic statistics).
-func (g *GPU) DRAM() *dram.DRAM { return g.dram }
+func (g *GPU) DRAM() *dram.DRAM { return &g.dram }
 
 // L2 exposes the shared cache.
-func (g *GPU) L2() *cache.Cache { return g.l2 }
+func (g *GPU) L2() *cache.Cache { return &g.l2 }
 
 // Links exposes the SM→L2 and L2→SM interconnect links (for tests).
-func (g *GPU) Links() (toL2, fromL2 *icnt.Link) { return g.toL2, g.fromL2 }
+func (g *GPU) Links() (toL2, fromL2 *icnt.Link) { return &g.toL2, &g.fromL2 }
 
 // Cycle returns the current cycle.
 func (g *GPU) Cycle() int64 { return g.cycle }
@@ -380,7 +436,7 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 func (g *GPU) dramComplete(req *memtypes.Request, cyc int64) {
 	switch req.Kind {
 	case memtypes.Load:
-		_, slot, ok := g.l2.Fill(req.Line)
+		slot, ok := g.l2.Fill(req.Line)
 		g.fromL2.Send(req, cyc)
 		if ok {
 			ws := g.l2Waiters[slot]

@@ -67,8 +67,8 @@ type SM struct {
 	cfg    *config.Config
 	kernel *workload.Kernel
 
-	l1 *cache.Cache
-	rf *regfile.RegFile
+	l1 cache.Cache
+	rf regfile.RegFile
 
 	warps []Warp
 	ctas  []CTASlotInfo
@@ -138,39 +138,53 @@ const loadIssueLatency = 2
 // fillWakeLatency is the register writeback delay after a fill arrives.
 const fillWakeLatency = 4
 
-// newSM builds an SM for the kernel.
-func newSM(id int, cfg *config.Config, k *workload.Kernel) *SM {
+// reset makes sm the SM that a new machine builds as SM id for kernel k,
+// before the policy attaches: empty caches, register file and queues, no
+// resident CTA, zero counters, no probe and no policy. Its arrays are
+// resliced and cleared where large enough; its request pool keeps the
+// requests it holds, since Get zeroes every one it hands out.
+func (sm *SM) reset(id int, cfg *config.Config, k *workload.Kernel) {
 	g := &cfg.GPU
-	sm := &SM{
-		id:          id,
-		cfg:         cfg,
-		kernel:      k,
-		l1:          cache.New(g.L1Bytes, g.L1Ways, g.L1MSHRs, false),
-		rf:          regfile.New(g),
-		warpsPerCTA: k.WarpsPerCTA,
-		lastIssued:  make([]int, g.NumSchedulers),
-		lsuWidth:    lsuWidthDefault,
-		waiters:     make([][]*Warp, g.L1MSHRs),
+	maxRes := MaxResidentCTAs(g, k)
+	nw := maxRes * k.WarpsPerCTA
+	ns := g.NumSchedulers
+	sm.lsu.Reset()
+	sm.outbox.Reset()
+	*sm = SM{
+		id:              id,
+		cfg:             cfg,
+		kernel:          k,
+		l1:              sm.l1,
+		rf:              sm.rf,
+		warps:           memtypes.Reslice(sm.warps, nw),
+		ctas:            memtypes.Reslice(sm.ctas, maxRes),
+		maxResidentCTAs: maxRes,
+		freeSlots:       maxRes,
+		warpsPerCTA:     k.WarpsPerCTA,
+		lastIssued:      memtypes.Reslice(sm.lastIssued, ns),
+		order:           emptyLists(sm.order, ns),
+		schedWake:       memtypes.Reslice(sm.schedWake, ns),
+		opOffset:        memtypes.Reslice(sm.opOffset, len(k.Body)),
+		lsu:             sm.lsu,
+		lsuWidth:        lsuWidthDefault,
+		waiters:         emptyLists(sm.waiters, g.L1MSHRs),
+		outbox:          sm.outbox,
+		pool:            sm.pool,
 	}
+	sm.l1.Reset(g.L1Bytes, g.L1Ways, g.L1MSHRs, false)
+	sm.rf.Reset(g)
 	for i := range sm.lastIssued {
 		sm.lastIssued[i] = -1
 	}
-	sm.maxResidentCTAs = MaxResidentCTAs(g, k)
-	sm.warps = make([]Warp, sm.maxResidentCTAs*k.WarpsPerCTA)
 	// Each list gets its partition's full size, so launches never grow it.
-	ns := g.NumSchedulers
-	sm.order = make([][]int, ns)
-	sm.schedWake = make([]int64, ns)
 	for s := range sm.order {
-		sm.order[s] = make([]int, 0, (len(sm.warps)-s+ns-1)/ns)
+		if n := (nw - s + ns - 1) / ns; cap(sm.order[s]) < n {
+			sm.order[s] = make([]int, 0, n)
+		}
 	}
-	sm.ctas = make([]CTASlotInfo, sm.maxResidentCTAs)
-	sm.freeSlots = sm.maxResidentCTAs
-	sm.opOffset = make([]int, len(k.Body))
 	for pc := range sm.opOffset {
 		sm.opOffset[pc] = pc * 3 % max(k.RegsPerWarp()-2, 1)
 	}
-	return sm
 }
 
 // MaxResidentCTAs returns how many CTAs of the kernel fit on one SM given
@@ -201,10 +215,10 @@ func MaxResidentCTAs(g *config.GPU, k *workload.Kernel) int {
 func (sm *SM) ID() int { return sm.id }
 
 // L1 returns the SM's data cache.
-func (sm *SM) L1() *cache.Cache { return sm.l1 }
+func (sm *SM) L1() *cache.Cache { return &sm.l1 }
 
 // RF returns the SM's register file.
-func (sm *SM) RF() *regfile.RegFile { return sm.rf }
+func (sm *SM) RF() *regfile.RegFile { return &sm.rf }
 
 // Kernel returns the running kernel.
 func (sm *SM) Kernel() *workload.Kernel { return sm.kernel }
@@ -532,7 +546,7 @@ func (sm *SM) unlistWarp(wi int) {
 }
 
 // listWarp inserts warp slot wi into its scheduler's age list at its age
-// position. The list never outgrows the capacity newSM gave it, so the
+// position. The list never outgrows the capacity reset gave it, so the
 // insert does not allocate.
 func (sm *SM) listWarp(wi int) {
 	s := wi % sm.cfg.GPU.NumSchedulers
@@ -742,7 +756,7 @@ func (sm *SM) handleResponse(req *memtypes.Request, cycle int64) {
 	sm.parked = false
 	switch req.Kind {
 	case memtypes.Load:
-		if _, slot, ok := sm.l1.Fill(req.Line); ok {
+		if slot, ok := sm.l1.Fill(req.Line); ok {
 			ws := sm.waiters[slot]
 			for _, w := range ws {
 				sm.finishLoad(w, cycle, fillWakeLatency+int64(req.ExtraLatency))
